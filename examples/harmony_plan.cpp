@@ -250,9 +250,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto& r = found.value();
+  const core::SearchPhaseSeconds& ph = r.phase_seconds;
   std::cout << core::HarmonyModeName(mode) << " configuration "
             << r.best.ToString() << "  (searched " << r.configs_explored
-            << " configs in " << Table::Cell(r.search_wall_seconds) << "s)\n"
+            << " configs in " << Table::Cell(r.search_wall_seconds)
+            << "s: bwd-pack " << Table::Cell(ph.bwd_packing, 3)
+            << "s, fwd-pack " << Table::Cell(ph.fwd_packing, 3) << "s, graph "
+            << Table::Cell(ph.graph_gen, 3) << "s, estimate "
+            << Table::Cell(ph.estimate, 3) << "s, merge "
+            << Table::Cell(ph.merge, 3) << "s)\n"
             << "  P_F: " << core::PackListToString(r.best.fwd_packs) << "\n"
             << "  P_B: " << core::PackListToString(r.best.bwd_packs) << "\n"
             << "  estimated iteration: "

@@ -8,18 +8,6 @@
 #include "common/logging.h"
 
 namespace harmony::core {
-namespace {
-
-/// Clears the first-level entries while keeping every inner vector's
-/// capacity. Entries past `n` are cleared too (a smaller graph after a
-/// larger one must not see stale data); callers only index [0, n).
-template <typename T>
-void ResetNested(std::vector<std::vector<T>>& v, size_t n) {
-  for (auto& inner : v) inner.clear();
-  if (v.size() < n) v.resize(n);
-}
-
-}  // namespace
 
 /// Schedule units are stored structure-of-arrays, indexed by flat unit id
 /// (uid = lane_base[lane] + position within lane, lanes concatenated in
@@ -32,8 +20,12 @@ struct EstimatorScratch::Impl {
   std::vector<int32_t> unit_lane;
   std::vector<double> unit_start;   // -1 = not yet scheduled
   std::vector<double> unit_end;
-  std::vector<std::vector<int>> locate;  // task -> uid per piece
+  // A task's units are consecutive within its lane: piece k of task id is
+  // uid task_uid0[id] + k, for k < task_units[id].
+  std::vector<int> task_uid0;
+  std::vector<int> task_units;
   std::vector<int> lane_base;
+  DepResolver deps;  // re-indexed per estimate, capacity kept
   // Producer lists in CSR form: unit uid's producers are
   // data[off[uid] .. off[uid + 1]). Built in uid order, so offsets are
   // recorded as the data arrays grow — one pass, no per-unit vectors.
@@ -46,16 +38,21 @@ struct EstimatorScratch::Impl {
   // enumeration).
   std::vector<int> dep_off, dep_data, dep_cursor;
   std::vector<int> ready;
-  // Per-task residency-policy summary, hoisted out of the per-unit loop: the
-  // policy is a task-level invariant, so the per-layer scans run once per
-  // task here instead of once per microbatch unit. Legacy and uniform tables
-  // then skip the per-layer work in the hot loop entirely.
-  std::vector<Bytes> task_swap_per_sample;  // Σ stash bytes over kSwap layers
-  std::vector<int32_t> task_remat_layers;   // # kRecompute layers in the pack
-  // Layer prefix sums behind the two arrays above: one O(R) policy scan per
-  // estimate, then each task's summary is two subtractions.
+  // Layer prefix sums of the residency policy: one O(R) policy scan per
+  // estimate, then a task's swapped stash bytes per sample and its count of
+  // kRecompute layers are two subtractions each.
   std::vector<Bytes> prefix_swap;
   std::vector<int32_t> prefix_remat;
+  // Per-task unit cost memo. A unit's duration and the host traffic it
+  // charges (besides streamed inputs and the weight fetch) depend only on
+  // its task and microbatch size, and a group's pieces all have its first
+  // piece's size except possibly the last. Slot 2*id holds the cost at
+  // group.front().size (task_u0[id]), slot 2*id + 1 at a ragged group's last
+  // size. Each is computed once per estimate by the same operations in the
+  // same order the per-unit loop used, so every FP sum is bit-identical.
+  std::vector<int32_t> task_u0;
+  std::vector<TimeSec> task_duration;
+  std::vector<Bytes> task_swap_bytes;
 };
 
 EstimatorScratch::EstimatorScratch() : impl_(std::make_unique<Impl>()) {}
@@ -78,7 +75,8 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   }
   EstimatorScratch::Impl& sc = *scratch->impl_;
 
-  const DepResolver deps(graph);
+  DepResolver& deps = sc.deps;
+  deps.Rebuild(graph);
   const int N = graph.num_devices;
   // Effective per-GPU swap bandwidth: the host link is shared by all GPUs
   // (the estimator's static approximation of contention).
@@ -114,63 +112,53 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   }
   const int total_units = lane_base[2 * N];
 
-  // Pass 2 — fill the flat unit arrays lane by lane; `locate` maps
-  // (task, piece) straight to a uid.
+  // Pass 2 — fill the flat unit arrays lane by lane, recording each task's
+  // first uid.
   sc.unit_task.assign(total_units, -1);
   sc.unit_piece.assign(total_units, -1);
   sc.unit_lane.assign(total_units, -1);
   sc.unit_start.assign(total_units, -1.0);
   sc.unit_end.assign(total_units, -1.0);
+  sc.task_uid0.assign(graph.num_tasks(), -1);
+  sc.task_units.assign(graph.num_tasks(), 0);
   int32_t* const unit_task = sc.unit_task.data();
   int32_t* const unit_piece = sc.unit_piece.data();
   int32_t* const unit_lane = sc.unit_lane.data();
   double* const unit_start = sc.unit_start.data();
   double* const unit_end = sc.unit_end.data();
-  auto& locate = sc.locate;
-  ResetNested(locate, graph.num_tasks());
+  int* const task_uid0 = sc.task_uid0.data();
+  int* const task_units = sc.task_units.data();
+  auto place_task = [&](int id, int* uid, int lane) {
+    const Task& t = graph.task(id);
+    const int units =
+        t.type == TaskType::kUpdate ? 1 : static_cast<int>(t.group.size());
+    task_uid0[id] = *uid;
+    task_units[id] = units;
+    for (int k = 0; k < units; ++k, ++*uid) {
+      unit_task[*uid] = id;
+      if (t.type != TaskType::kUpdate) unit_piece[*uid] = k;
+      unit_lane[*uid] = lane;
+    }
+  };
   for (int d = 0; d < N; ++d) {
     int uid = lane_base[d];
-    for (int id : graph.device_order[d]) {
-      const Task& t = graph.task(id);
-      if (t.type == TaskType::kUpdate) {
-        locate[id].assign(1, uid);
-        unit_task[uid] = id;
-        unit_lane[uid] = d;
-        ++uid;
-        continue;
-      }
-      locate[id].resize(t.group.size());
-      for (int k = 0; k < static_cast<int>(t.group.size()); ++k) {
-        locate[id][k] = uid;
-        unit_task[uid] = id;
-        unit_piece[uid] = k;
-        unit_lane[uid] = d;
-        ++uid;
-      }
-    }
+    for (int id : graph.device_order[d]) place_task(id, &uid, d);
     if (static_cast<size_t>(d) < graph.cpu_order.size()) {
       uid = lane_base[N + d];
-      for (int id : graph.cpu_order[d]) {
-        locate[id].assign(1, uid);
-        unit_task[uid] = id;
-        unit_lane[uid] = N + d;
-        ++uid;
-      }
+      for (int id : graph.cpu_order[d]) place_task(id, &uid, N + d);
     }
   }
 
   auto uid_of = [&](int task, int piece) -> int {
-    const auto& locs = locate[task];
-    HARMONY_CHECK(!locs.empty());
-    const int idx = piece >= 0 && piece < static_cast<int>(locs.size()) ? piece : 0;
-    return locs[idx];
+    HARMONY_CHECK_GT(task_units[task], 0);
+    return task_uid0[task] +
+           (piece >= 0 && piece < task_units[task] ? piece : 0);
   };
 
-  // Pass 2b — per-task policy summary (see Impl). Integer stash bytes
+  // Pass 2b — per-task unit costs (see Impl). Integer stash bytes
   // distribute exactly over the microbatch size, so charging
-  // usize * Σ per-sample bytes in the hot loop is bit-identical to the
-  // per-layer sum it replaces. One O(R) policy scan builds prefix sums;
-  // each task then reads its pack's range in O(1).
+  // usize * Σ per-sample bytes is bit-identical to the per-layer sum it
+  // replaces.
   sc.prefix_swap.assign(graph.num_layers + 1, 0);
   sc.prefix_remat.assign(graph.num_layers + 1, 0);
   for (int l = 0; l < graph.num_layers; ++l) {
@@ -182,18 +170,80 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
     sc.prefix_remat[l + 1] =
         sc.prefix_remat[l] + (p == StashPolicy::kRecompute ? 1 : 0);
   }
-  sc.task_swap_per_sample.assign(graph.num_tasks(), 0);
-  sc.task_remat_layers.assign(graph.num_tasks(), 0);
+  auto unit_cost = [&](const Task& t, int usize, TimeSec* duration,
+                       Bytes* swap) {
+    const Bytes swap_per_sample =
+        sc.prefix_swap[t.pack.hi + 1] - sc.prefix_swap[t.pack.lo];
+    if (t.type == TaskType::kForward) {
+      *duration = profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
+      // Swapped-out stash (kSwap layers): the write overlaps compute on the
+      // swap-out stream, so only the volume counts.
+      *swap += static_cast<Bytes>(usize) * swap_per_sample;
+    } else {
+      *duration = profiles_.PackBwdTime(t.pack.lo, t.pack.hi, usize);
+      if (t.fused_forward) {
+        *duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
+      } else {
+        const int remat_layers =
+            sc.prefix_remat[t.pack.hi + 1] - sc.prefix_remat[t.pack.lo];
+        if (remat_layers == t.pack.num_layers()) {
+          // Whole-pack rematerialization: one PackFwdTime call, not a
+          // per-layer sum — preserves the FP summation order of the
+          // pre-policy estimator so legacy goldens stay bit-identical.
+          *duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
+        } else if (remat_layers > 0) {
+          for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
+            if (graph.policy_at(l) == StashPolicy::kRecompute) {
+              *duration += profiles_.FwdTime(l, usize);
+            }
+          }
+        }
+        // Swapped stash read-back: charged like the checkpoint read
+        // (host -> device on the critical path; kKeep stays free).
+        if (swap_per_sample > 0) {
+          for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
+            if (graph.policy_at(l) != StashPolicy::kSwap) continue;
+            const Bytes st = static_cast<Bytes>(usize) *
+                             profiles_.layer(l).stash_bytes_per_sample;
+            if (st == 0) continue;
+            *duration += static_cast<double>(st) / swap_bw;
+            *swap += st;
+          }
+        }
+      }
+    }
+    // Checkpoint read for backward tasks (message passing via host).
+    if (t.type == TaskType::kBackward && t.reads_checkpoint) {
+      const Bytes ck = static_cast<Bytes>(usize) * boundary_in_bytes(t.pack.lo);
+      *duration += static_cast<double>(ck) / swap_bw;
+      *swap += ck;
+    }
+    // Checkpoint writes (forward): overlapped on the swap-out stream; count
+    // volume only.
+    for (int b : t.checkpoint_boundaries) {
+      *swap += static_cast<Bytes>(usize) * boundary_in_bytes(b);
+    }
+  };
+  sc.task_u0.assign(graph.num_tasks(), 0);
+  sc.task_duration.assign(2 * graph.num_tasks(), 0.0);
+  sc.task_swap_bytes.assign(2 * graph.num_tasks(), 0);
   for (int id = 0; id < graph.num_tasks(); ++id) {
     const Task& t = graph.task(id);
-    if (t.type == TaskType::kUpdate) continue;
-    sc.task_swap_per_sample[id] =
-        sc.prefix_swap[t.pack.hi + 1] - sc.prefix_swap[t.pack.lo];
-    sc.task_remat_layers[id] =
-        sc.prefix_remat[t.pack.hi + 1] - sc.prefix_remat[t.pack.lo];
+    if (t.type == TaskType::kUpdate || t.group.empty()) continue;
+    const int sizes[2] = {t.group.front().size, t.group.back().size};
+    for (const MbPiece& p : t.group) {
+      HARMONY_DCHECK(p.size == sizes[0] || p.size == sizes[1]);
+    }
+    sc.task_u0[id] = sizes[0];
+    // Slot 1 is filled only for a ragged group; an even one never selects it.
+    for (int slot = 0; slot < (sizes[1] == sizes[0] ? 1 : 2); ++slot) {
+      unit_cost(t, sizes[slot], &sc.task_duration[2 * id + slot],
+                &sc.task_swap_bytes[2 * id + slot]);
+    }
   }
-  const Bytes* const task_swap_per_sample = sc.task_swap_per_sample.data();
-  const int32_t* const task_remat_layers = sc.task_remat_layers.data();
+  const int32_t* const task_u0 = sc.task_u0.data();
+  const TimeSec* const task_duration = sc.task_duration.data();
+  const Bytes* const task_swap_bytes = sc.task_swap_bytes.data();
 
   // Precompute each unit's producers (cross-lane dependencies), CSR-packed in
   // uid order. Updates keep their gradient producers separate from the
@@ -205,34 +255,40 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   sc.rigid_data.clear();
   sc.stream_data.clear();
 
+  // The resolver appends task ids / (task, piece) pairs straight into the
+  // CSR data arrays; each new entry is then rewritten in place to its uid
+  // (a gradient producer's last piece finishes its task).
+  auto last_piece_uid = [&](int pid) {
+    return uid_of(pid, static_cast<int>(graph.task(pid).group.size()) - 1);
+  };
   for (int uid = 0; uid < total_units; ++uid) {
     const Task& t = graph.task(unit_task[uid]);
     if (t.type == TaskType::kUpdate) {
-      for (int pid : deps.BackwardTasksForPack(t.pack, t.replica)) {
-        const Task& p = graph.task(pid);
-        sc.grad_data.push_back(
-            uid_of(pid, static_cast<int>(p.group.size()) - 1));
+      const size_t first = sc.grad_data.size();
+      deps.BackwardTasksForPack(t.pack, t.replica, &sc.grad_data);
+      for (size_t e = first; e < sc.grad_data.size(); ++e) {
+        sc.grad_data[e] = last_piece_uid(sc.grad_data[e]);
       }
       if (!graph.flags.jit_update) {
         // Rigid scheduling: updates wait for the entire backward pass.
         for (int r = 0; r < graph.num_replicas; ++r) {
           if (t.replica >= 0 && r != t.replica) continue;
           for (int pid : deps.AllBackwardTasks(r)) {
-            const Task& p = graph.task(pid);
-            sc.rigid_data.push_back(
-                uid_of(pid, static_cast<int>(p.group.size()) - 1));
+            sc.rigid_data.push_back(last_piece_uid(pid));
           }
         }
       }
     } else {
       const MbPiece piece = t.group[unit_piece[uid]];
       const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
-      const int in_boundary = wants_act ? t.pack.lo : t.pack.hi + 1;
-      const auto producers =
-          wants_act ? deps.ActivationProducers(in_boundary, piece, t.replica)
-                    : deps.GradientProducers(in_boundary, piece, t.replica);
-      for (const auto& [pid, pk] : producers) {
-        sc.stream_data.emplace_back(uid_of(pid, pk), pid);
+      const size_t first = sc.stream_data.size();
+      deps.AppendProducers(wants_act ? DepResolver::Input::kActivation
+                                     : DepResolver::Input::kGradient,
+                           wants_act ? t.pack.lo : t.pack.hi + 1, piece,
+                           t.replica, &sc.stream_data);
+      for (size_t e = first; e < sc.stream_data.size(); ++e) {
+        const auto [pid, pk] = sc.stream_data[e];
+        sc.stream_data[e] = {uid_of(pid, pk), pid};
       }
     }
     sc.grad_off[uid + 1] = static_cast<int>(sc.grad_data.size());
@@ -345,47 +401,11 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
       }
       ready_time = std::max(ready_time, grads_ready);
     } else {
-      const MbPiece piece = t.group[unit_piece[uid]];
-      const int usize = piece.size;
-      if (t.type == TaskType::kForward) {
-        duration = profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
-        // Swapped-out stash (kSwap layers): the write overlaps compute on
-        // the swap-out stream, so only the volume counts.
-        swap_bytes +=
-            static_cast<Bytes>(usize) * task_swap_per_sample[unit_task[uid]];
-      } else {
-        duration = profiles_.PackBwdTime(t.pack.lo, t.pack.hi, usize);
-        if (t.fused_forward) {
-          duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
-        } else {
-          const int remat_layers = task_remat_layers[unit_task[uid]];
-          if (remat_layers == t.pack.num_layers()) {
-            // Whole-pack rematerialization: one PackFwdTime call, not a
-            // per-layer sum — preserves the FP summation order of the
-            // pre-policy estimator so legacy goldens stay bit-identical.
-            duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
-          } else if (remat_layers > 0) {
-            for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-              if (graph.policy_at(l) == StashPolicy::kRecompute) {
-                duration += profiles_.FwdTime(l, usize);
-              }
-            }
-          }
-          // Swapped stash read-back: charged like the checkpoint read
-          // (host -> device on the critical path; kKeep stays free). The
-          // stall stays a per-layer FP sum — only the guard is hoisted.
-          if (task_swap_per_sample[unit_task[uid]] > 0) {
-            for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-              if (graph.policy_at(l) != StashPolicy::kSwap) continue;
-              const Bytes st = static_cast<Bytes>(usize) *
-                               profiles_.layer(l).stash_bytes_per_sample;
-              if (st == 0) continue;
-              duration += static_cast<double>(st) / swap_bw;
-              swap_bytes += st;
-            }
-          }
-        }
-      }
+      const int task = unit_task[uid];
+      const int usize = t.group[unit_piece[uid]].size;
+      const int memo = 2 * task + (usize == task_u0[task] ? 0 : 1);
+      duration = task_duration[memo];
+      swap_bytes += task_swap_bytes[memo];
 
       // Streaming input: activations (forward / fused) or boundary
       // gradient (backward).
@@ -409,19 +429,6 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
           }
         }
         ready_time = std::max(ready_time, done + xfer);
-      }
-
-      // Checkpoint read for backward tasks (message passing via host).
-      if (t.type == TaskType::kBackward && t.reads_checkpoint) {
-        const Bytes ck =
-            static_cast<Bytes>(usize) * boundary_in_bytes(t.pack.lo);
-        duration += static_cast<double>(ck) / swap_bw;
-        swap_bytes += ck;
-      }
-      // Checkpoint writes (forward): overlapped on the swap-out stream;
-      // count volume only.
-      for (int b : t.checkpoint_boundaries) {
-        swap_bytes += static_cast<Bytes>(usize) * boundary_in_bytes(b);
       }
 
       // Weight fetch at the first piece of a task; prefetch overlaps it

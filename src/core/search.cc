@@ -39,6 +39,12 @@ Result<PolicyMode> PolicyModeFromName(const std::string& name) {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
 /// One candidate of the four-tuple grid. Backward packs are shared across
 /// the whole (U_B, floor) group; `bwd_group` indexes into the group store.
 struct GridPoint {
@@ -80,9 +86,11 @@ class FwdPackMemo {
  public:
   using Key = std::tuple<int, int, int>;
 
+  /// A miss adds the seconds ForwardPacks took to `*miss_seconds`.
   const Result<PackList>& Get(const Key& key, int u_fwd, const PackList& bwd,
                               const profile::ProfileDb& profiles,
-                              const PackingOptions& packing) {
+                              const PackingOptions& packing,
+                              double* miss_seconds) {
     Shard& shard = shards_[ShardOf(key)];
     {
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -91,8 +99,10 @@ class FwdPackMemo {
     }
     // Compute outside the lock: a duplicate race wastes one recompute but
     // never blocks other shards or other keys of this shard.
+    const Clock::time_point start = Clock::now();
     auto computed = std::make_shared<Result<PackList>>(
         ForwardPacks(u_fwd, bwd, profiles, packing));
+    *miss_seconds += SecondsSince(start);
     std::lock_guard<std::mutex> lock(shard.mu);
     return *shard.cache.emplace(key, std::move(computed)).first->second;
   }
@@ -128,7 +138,7 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
                                          HarmonyMode mode, int minibatch,
                                          const OptimizationFlags& flags,
                                          const SearchOptions& options) {
-  const auto wall_start = std::chrono::steady_clock::now();
+  const Clock::time_point wall_start = Clock::now();
   HARMONY_CHECK_GE(minibatch, 1);
 
   // Effective maximal microbatch sizes (Algorithm 1 lines 1-3).
@@ -255,7 +265,9 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
     for (int bwd_floor : bwd_floors) {
       PackingOptions bwd_packing = packing;
       bwd_packing.min_packs = bwd_floor;
+      const Clock::time_point packing_start = Clock::now();
       Result<PackList> bwd = BackwardPacks(u_bwd, profiles, bwd_packing);
+      result.phase_seconds.bwd_packing += SecondsSince(packing_start);
       if (!bwd.ok()) continue;  // this U_B cannot fit even single-layer packs
       if (bwd_floor > 1 &&
           static_cast<int>(bwd.value().size()) <= bwd_floor / 2) {
@@ -286,9 +298,10 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   // Phase 2 (parallel): evaluate every candidate independently. All inputs
   // (profiles, machine, estimator, bwd_groups, tables_by_ubwd) are immutable
   // from here on; the forward-pack memo is the only shared mutable state.
+  // Each worker times its phases into its own `phases`.
   FwdPackMemo fwd_memo;
-  auto evaluate = [&](const GridPoint& pt,
-                      EstimatorScratch& scratch) -> EvalOutcome {
+  auto evaluate = [&](const GridPoint& pt, EstimatorScratch& scratch,
+                      SearchPhaseSeconds& phases) -> EvalOutcome {
     EvalOutcome out;
     const PackList& bwd = bwd_groups[pt.bwd_group];
     Configuration config;
@@ -307,7 +320,7 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
       fwd_packing.min_packs = std::min(pt.fwd_floor, fwd_layers);
       const Result<PackList>& fwd = fwd_memo.Get(
           {pt.u_fwd, fwd_packing.min_packs, fwd_layers}, pt.u_fwd, bwd,
-          profiles, fwd_packing);
+          profiles, fwd_packing, &phases.fwd_packing);
       if (!fwd.ok()) return out;
       config.fwd_packs = fwd.value();
     }
@@ -319,9 +332,14 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
     for (int ti = 0; ti < static_cast<int>(tables.size()); ++ti) {
       config.policy = tables[ti];
       if (!policy_feasible(config, config.policy)) continue;
+      const Clock::time_point gen_start = Clock::now();
       TaskGraph graph = GenerateHarmonyTaskGraph(config, mode, machine.num_gpus,
                                                  minibatch, flags, profiles);
+      const Clock::time_point est_start = Clock::now();
       const Estimate est = estimator.EstimateIteration(graph, nullptr, &scratch);
+      phases.graph_gen +=
+          std::chrono::duration<double>(est_start - gen_start).count();
+      phases.estimate += SecondsSince(est_start);
       ++out.feasible_count;
       if (out.feasible_count == 1 ||
           est.iteration_time < out.estimate.iteration_time) {
@@ -347,16 +365,27 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
     sim::MultiRunDriver driver(num_threads);
     std::vector<EstimatorScratch> scratches(
         static_cast<size_t>(driver.num_threads()));
+    // One cache line per worker's timers, so workers never share a line.
+    struct alignas(64) WorkerPhases {
+      SearchPhaseSeconds seconds;
+    };
+    std::vector<WorkerPhases> worker_phases(
+        static_cast<size_t>(driver.num_threads()));
     driver.Run(static_cast<int>(points.size()), [&](int run, int worker) {
       if (cancelled()) return;
-      outcomes[run] = evaluate(points[run], scratches[worker]);
+      outcomes[run] = evaluate(points[run], scratches[worker],
+                               worker_phases[worker].seconds);
     });
+    for (const WorkerPhases& w : worker_phases) {
+      result.phase_seconds += w.seconds;
+    }
   }
 
   // Phase 3 (serial): deterministic merge. The winner is the feasible
   // candidate with the lowest estimated time, ties broken by lexicographic
   // (u_bwd, u_fwd, bwd_floor, fwd_floor, policy table index) — independent
   // of thread count and of the order workers finished.
+  const Clock::time_point merge_start = Clock::now();
   double best_time = -1.0;
   std::tuple<int, int, int, int, int> best_key;
   for (size_t i = 0; i < points.size(); ++i) {
@@ -380,9 +409,8 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
     }
   }
 
-  result.search_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-          .count();
+  result.phase_seconds.merge = SecondsSince(merge_start);
+  result.search_wall_seconds = SecondsSince(wall_start);
   if (cancelled()) {
     // Partial sweeps are never returned (and never cached upstream): a
     // cancelled search is indistinguishable from one that never ran.

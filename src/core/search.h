@@ -79,6 +79,26 @@ struct ExploredConfig {
   Estimate estimate;
 };
 
+/// Seconds Algorithm 1 spent in each of its phases. The worker phases add
+/// up every worker's time, so with several threads their sum can exceed
+/// SearchResult::search_wall_seconds.
+struct SearchPhaseSeconds {
+  double bwd_packing = 0;  // BackwardPacks per (U_B, floor) group
+  double fwd_packing = 0;  // ForwardPacks on forward-pack memo misses
+  double graph_gen = 0;    // GenerateHarmonyTaskGraph per candidate table
+  double estimate = 0;     // RuntimeEstimator::EstimateIteration
+  double merge = 0;        // the deterministic merge of all outcomes
+
+  SearchPhaseSeconds& operator+=(const SearchPhaseSeconds& o) {
+    bwd_packing += o.bwd_packing;
+    fwd_packing += o.fwd_packing;
+    graph_gen += o.graph_gen;
+    estimate += o.estimate;
+    merge += o.merge;
+    return *this;
+  }
+};
+
 struct SearchResult {
   Configuration best;
   Estimate best_estimate;
@@ -86,6 +106,8 @@ struct SearchResult {
   int configs_feasible = 0;
   /// Real wall-clock seconds the search took (Table 1's "Time (s)").
   double search_wall_seconds = 0;
+  /// Where that time went, phase by phase.
+  SearchPhaseSeconds phase_seconds;
   /// Populated only when SearchOptions::keep_explored is set.
   std::vector<ExploredConfig> explored;
 };

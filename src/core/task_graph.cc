@@ -32,74 +32,83 @@ std::vector<MbPiece> SplitMicrobatches(int total, int u) {
 // DepResolver
 // ---------------------------------------------------------------------------
 
-DepResolver::DepResolver(const TaskGraph& graph) : graph_(graph) {
-  const int R = graph.num_layers;
-  act_producers_.assign(graph.num_replicas,
-                        std::vector<std::vector<int>>(R + 1));
-  grad_producers_.assign(graph.num_replicas,
-                         std::vector<std::vector<int>>(R + 1));
-  backward_tasks_.assign(graph.num_replicas, {});
-  for (const Task& t : graph.tasks) {
-    if (t.type == TaskType::kForward || t.fused_forward) {
+void DepResolver::Csr::Allocate() {
+  std::partial_sum(off.begin(), off.end(), off.begin());
+  data.resize(off.back());
+}
+
+void DepResolver::Csr::Seal() {
+  // Fill advanced off[k] to the end of bucket k, which is where bucket k + 1
+  // starts: shifting right by one restores every start.
+  std::copy_backward(off.begin(), off.end() - 1, off.end());
+  off[0] = 0;
+}
+
+void DepResolver::Rebuild(const TaskGraph& graph) {
+  graph_ = &graph;
+  boundaries_ = graph.num_layers + 1;
+  // `visit(index, bucket, task id)` for every entry of every index. Tasks
+  // are visited in id order, so each bucket comes out in ascending task id.
+  auto for_each_entry = [&](auto&& visit) {
+    for (const Task& t : graph.tasks) {
+      if (t.type == TaskType::kUpdate) continue;
+      const int base = t.replica * boundaries_;
       // Streaming output at the pack's end boundary (the fused task consumes
-      // its own forward output internally, so only pure forwards stream).
-      if (t.type == TaskType::kForward) {
-        act_producers_[t.replica][t.pack.hi + 1].push_back(t.id);
+      // its own forward output internally, so only pure forwards stream),
+      // plus the checkpointed boundaries.
+      if (t.type == TaskType::kForward) visit(act_, base + t.pack.hi + 1, t.id);
+      if (t.type == TaskType::kForward || t.fused_forward) {
+        for (int b : t.checkpoint_boundaries) {
+          if (t.type == TaskType::kForward && b == t.pack.hi + 1) continue;
+          visit(act_, base + b, t.id);
+        }
       }
-      for (int b : t.checkpoint_boundaries) {
-        if (t.type == TaskType::kForward && b == t.pack.hi + 1) continue;  // already listed
-        act_producers_[t.replica][b].push_back(t.id);
+      if (t.type == TaskType::kBackward) {
+        visit(grad_, base + t.pack.lo, t.id);
+        visit(backward_, t.replica, t.id);
       }
     }
-    if (t.type == TaskType::kBackward) {
-      grad_producers_[t.replica][t.pack.lo].push_back(t.id);
-      backward_tasks_[t.replica].push_back(t.id);
+  };
+  act_.Reset(graph.num_replicas * boundaries_);
+  grad_.Reset(graph.num_replicas * boundaries_);
+  backward_.Reset(graph.num_replicas);
+  for_each_entry([](Csr& index, int bucket, int) { index.Count(bucket); });
+  for (Csr* index : {&act_, &grad_, &backward_}) index->Allocate();
+  for_each_entry([](Csr& index, int bucket, int id) { index.Fill(bucket, id); });
+  for (Csr* index : {&act_, &grad_, &backward_}) index->Seal();
+}
+
+void DepResolver::AppendProducers(Input input, int boundary,
+                                  const MbPiece& piece, int replica,
+                                  std::vector<std::pair<int, int>>* out) const {
+  // No producer for the data loader's activation or the loss's gradient.
+  if (input == Input::kActivation ? boundary == 0 : boundary >= boundaries_ - 1) {
+    return;
+  }
+  HARMONY_CHECK(replica >= 0 && replica < graph_->num_replicas);
+  HARMONY_CHECK(boundary >= 0 && boundary < boundaries_);
+  const Csr& index = input == Input::kActivation ? act_ : grad_;
+  for (int tid : Bucket(index, replica * boundaries_ + boundary)) {
+    // Ordered, disjoint pieces: the overlapping ones are the contiguous run
+    // starting at the first piece ending after `piece` begins.
+    const std::vector<MbPiece>& group = graph_->task(tid).group;
+    const auto first = std::partition_point(
+        group.begin(), group.end(),
+        [&](const MbPiece& p) { return p.end() <= piece.begin; });
+    for (auto it = first; it != group.end() && it->begin < piece.end(); ++it) {
+      out->emplace_back(tid, static_cast<int>(it - group.begin()));
     }
   }
 }
 
-namespace {
-std::vector<std::pair<int, int>> MatchPieces(const TaskGraph& graph,
-                                             const std::vector<int>& producers,
-                                             const MbPiece& piece) {
-  std::vector<std::pair<int, int>> out;
-  for (int tid : producers) {
-    const Task& p = graph.task(tid);
-    for (int k = 0; k < static_cast<int>(p.group.size()); ++k) {
-      if (p.group[k].Overlaps(piece)) out.emplace_back(tid, k);
-    }
-  }
-  return out;
-}
-}  // namespace
-
-std::vector<std::pair<int, int>> DepResolver::ActivationProducers(
-    int boundary, const MbPiece& piece, int replica) const {
-  if (boundary == 0) return {};  // data loader
-  return MatchPieces(graph_, act_producers_.at(replica).at(boundary), piece);
-}
-
-std::vector<std::pair<int, int>> DepResolver::GradientProducers(
-    int boundary, const MbPiece& piece, int replica) const {
-  if (boundary > graph_.num_layers - 1) return {};  // loss end: no producer
-  return MatchPieces(graph_, grad_producers_.at(replica).at(boundary), piece);
-}
-
-std::vector<int> DepResolver::BackwardTasksForPack(const Pack& pack,
-                                                   int replica) const {
-  std::vector<int> out;
-  for (int r = 0; r < graph_.num_replicas; ++r) {
+void DepResolver::BackwardTasksForPack(const Pack& pack, int replica,
+                                       std::vector<int>* out) const {
+  for (int r = 0; r < graph_->num_replicas; ++r) {
     if (replica >= 0 && r != replica) continue;
-    for (int tid : backward_tasks_[r]) {
-      const Task& t = graph_.task(tid);
-      if (t.pack.lo == pack.lo && t.pack.hi == pack.hi) out.push_back(tid);
+    for (int tid : Bucket(grad_, r * boundaries_ + pack.lo)) {
+      if (graph_->task(tid).pack.hi == pack.hi) out->push_back(tid);
     }
   }
-  return out;
-}
-
-const std::vector<int>& DepResolver::AllBackwardTasks(int replica) const {
-  return backward_tasks_.at(replica);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,19 +342,22 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
     for (int orig = 0; orig < g.num_tasks(); ++orig) {
       for (int id : new_ids[orig]) orig_of[id] = orig;
     }
+    std::vector<std::pair<int, int>> producers;
     for (const Task& t : split.tasks) {
       if (t.type == TaskType::kUpdate) continue;
       const bool wants_act = t.type == TaskType::kForward || t.fused_forward;
-      std::vector<std::pair<int, int>> producers;
+      producers.clear();
       for (const MbPiece& piece : t.group) {
-        const int b = wants_act ? t.pack.lo : t.pack.hi + 1;
-        auto ps = wants_act
-                      ? split_deps.ActivationProducers(b, piece, t.replica)
-                      : split_deps.GradientProducers(b, piece, t.replica);
-        producers.insert(producers.end(), ps.begin(), ps.end());
-        if (!wants_act && t.reads_checkpoint) {
-          auto cs = split_deps.ActivationProducers(t.pack.lo, piece, t.replica);
-          producers.insert(producers.end(), cs.begin(), cs.end());
+        if (wants_act) {
+          split_deps.AppendProducers(DepResolver::Input::kActivation,
+                                     t.pack.lo, piece, t.replica, &producers);
+          continue;
+        }
+        split_deps.AppendProducers(DepResolver::Input::kGradient,
+                                   t.pack.hi + 1, piece, t.replica, &producers);
+        if (t.reads_checkpoint) {
+          split_deps.AppendProducers(DepResolver::Input::kActivation,
+                                     t.pack.lo, piece, t.replica, &producers);
         }
       }
       for (const auto& [pid, piece_idx] : producers) {
@@ -422,6 +434,11 @@ void ValidateTaskGraph(const TaskGraph& graph) {
     HARMONY_CHECK_GE(t.device, 0);
     HARMONY_CHECK_LT(t.device, graph.num_devices);
     if (t.type != TaskType::kUpdate) HARMONY_CHECK(!t.group.empty());
+    // Ordered, disjoint, non-empty pieces (DepResolver binary-searches them).
+    for (size_t k = 0; k < t.group.size(); ++k) {
+      HARMONY_CHECK_GE(t.group[k].size, 1) << "task " << i;
+      if (k > 0) HARMONY_CHECK_LE(t.group[k - 1].end(), t.group[k].begin);
+    }
   }
 
   // Per replica: forward-like and backward coverage of (layer, sample) space

@@ -1,6 +1,7 @@
 #ifndef HARMONY_CORE_TASK_GRAPH_H_
 #define HARMONY_CORE_TASK_GRAPH_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,36 +118,74 @@ struct TaskGraph {
 /// Boundary b denotes the tensor between layers b-1 and b: "activation at b"
 /// is layer b-1's output (b=0: the data loader), "gradient at b" is the
 /// gradient flowing from layer b to b-1.
+///
+/// The index is flat CSR: bucket replica * (R+1) + b lists the tasks
+/// producing that tensor in ascending task id, so a query touches only its
+/// own producers. Rebuild() reuses the arrays' capacity, which lets the
+/// estimator keep one resolver per scratch arena and re-index every
+/// candidate graph without allocating.
+///
+/// Requires each F/B task's group to be ordered and disjoint (ascending
+/// begin, no empty piece; ValidateTaskGraph checks it) — what
+/// SplitMicrobatches produces — so a piece's overlapping producer pieces are
+/// found by binary search.
 class DepResolver {
  public:
-  explicit DepResolver(const TaskGraph& graph);
+  /// The tensor a consumer reads at a boundary.
+  enum class Input { kActivation, kGradient };
 
-  /// (task id, piece index) pairs producing the activation at `boundary`
-  /// whose sample ranges overlap `piece`, in `replica`. Empty for b == 0.
-  std::vector<std::pair<int, int>> ActivationProducers(int boundary,
-                                                       const MbPiece& piece,
-                                                       int replica) const;
+  DepResolver() = default;
+  explicit DepResolver(const TaskGraph& graph) { Rebuild(graph); }
 
-  /// Same for the gradient flowing into `boundary` (produced by the backward
-  /// task whose pack starts at `boundary`).
-  std::vector<std::pair<int, int>> GradientProducers(int boundary,
-                                                     const MbPiece& piece,
-                                                     int replica) const;
+  /// Re-indexes `graph`, which stays borrowed until the next Rebuild.
+  void Rebuild(const TaskGraph& graph);
 
-  /// All backward tasks computing gradients for layers of `pack` in
-  /// `replica` (update-task inputs); `replica` == -1 matches all replicas.
-  std::vector<int> BackwardTasksForPack(const Pack& pack, int replica) const;
+  /// Appends to `out` the (task id, piece index) pairs producing `input` at
+  /// `boundary` in `replica` whose sample ranges overlap `piece`, in
+  /// ascending task id, then piece index. Appends nothing for the
+  /// activation at b == 0 (data loader) or the gradient at b == R (loss).
+  /// A backward task whose pack starts at b produces the gradient at b.
+  void AppendProducers(Input input, int boundary, const MbPiece& piece,
+                       int replica,
+                       std::vector<std::pair<int, int>>* out) const;
 
-  /// All backward tasks of a replica (used by the no-jit-update ablation:
-  /// updates wait for the full backward pass).
-  const std::vector<int>& AllBackwardTasks(int replica) const;
+  /// Appends the backward tasks computing gradients for exactly `pack` in
+  /// `replica` (update-task inputs), ascending replica then task id;
+  /// `replica` == -1 matches all replicas.
+  void BackwardTasksForPack(const Pack& pack, int replica,
+                            std::vector<int>* out) const;
+
+  /// All backward tasks of a replica in ascending id (used by the
+  /// no-jit-update ablation: updates wait for the full backward pass).
+  std::span<const int> AllBackwardTasks(int replica) const {
+    return Bucket(backward_, replica);
+  }
 
  private:
-  const TaskGraph& graph_;
-  // [replica][boundary] -> tasks producing that activation / gradient.
-  std::vector<std::vector<std::vector<int>>> act_producers_;
-  std::vector<std::vector<std::vector<int>>> grad_producers_;
-  std::vector<std::vector<int>> backward_tasks_;  // per replica
+  /// Offsets + data of one CSR index: bucket k holds
+  /// data[off[k] .. off[k + 1]). Built by two passes over one enumeration:
+  /// Reset, Count every entry, Allocate, Fill every entry in the same
+  /// order, Seal.
+  struct Csr {
+    std::vector<int> off;
+    std::vector<int> data;
+
+    void Reset(int buckets) { off.assign(buckets + 1, 0); }
+    void Count(int bucket) { ++off[bucket + 1]; }
+    void Allocate();
+    void Fill(int bucket, int id) { data[off[bucket]++] = id; }
+    void Seal();
+  };
+  static std::span<const int> Bucket(const Csr& csr, int bucket) {
+    return {csr.data.data() + csr.off[bucket],
+            csr.data.data() + csr.off[bucket + 1]};
+  }
+
+  const TaskGraph* graph_ = nullptr;
+  int boundaries_ = 0;  // R + 1 buckets per replica
+  Csr act_;             // [replica * (R+1) + b] -> activation producers
+  Csr grad_;            // [replica * (R+1) + b] -> backward tasks, pack.lo == b
+  Csr backward_;        // [replica] -> backward tasks
 };
 
 /// Generates the Harmony task graph for a configuration (Algorithm 3):
@@ -163,8 +202,9 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
                                    const profile::ProfileDb& profiles);
 
 /// Validates structural invariants (layer coverage per pass and replica,
-/// wrap-around binding, piece partitioning, order consistency). CHECK-fails
-/// on violation; called by the generator and exercised directly in tests.
+/// wrap-around binding, ordered disjoint groups, piece partitioning, order
+/// consistency). CHECK-fails on violation; called by the generator and
+/// exercised directly in tests.
 void ValidateTaskGraph(const TaskGraph& graph);
 
 }  // namespace harmony::core

@@ -339,10 +339,10 @@ void StepCompiler::CompileGpuUpdate(const Task& t) {
 }
 
 void StepCompiler::CompileCpuUpdate(const Task& t) {
-  const core::DepResolver deps(graph_);
   CpuStep s;
   s.task = t.id;
-  const auto producers = deps.BackwardTasksForPack(t.pack, t.replica);
+  std::vector<int> producers;
+  deps_.BackwardTasksForPack(t.pack, t.replica, &producers);
   std::set<int> replicas;
   for (int pid : producers) replicas.insert(graph_.task(pid).replica);
   const int nrep = std::max<int>(1, replicas.size());
@@ -363,7 +363,7 @@ void StepCompiler::CompileCpuUpdate(const Task& t) {
   if (!graph_.flags.jit_update) {
     for (int r = 0; r < graph_.num_replicas; ++r) {
       if (t.replica >= 0 && r != t.replica) continue;
-      const auto& all = deps.AllBackwardTasks(r);
+      const auto all = deps_.AllBackwardTasks(r);
       s.wait_tasks.insert(s.wait_tasks.end(), all.begin(), all.end());
     }
   }
@@ -381,6 +381,7 @@ void StepCompiler::ComputeRefs() {
 
 StepProgram StepCompiler::Compile() {
   Precompute();
+  deps_.Rebuild(graph_);
   program_.steps.assign(graph_.num_devices, {});
   program_.cpu_steps.assign(graph_.num_devices, {});
   for (int d = 0; d < graph_.num_devices; ++d) {

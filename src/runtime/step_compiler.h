@@ -58,6 +58,9 @@ class StepCompiler {
   std::vector<std::vector<std::vector<core::MbPiece>>> grad_layout_;
   std::vector<std::vector<std::vector<core::MbPiece>>> stash_layout_;
 
+  // One dependency index per Compile(), shared by every CPU update task.
+  core::DepResolver deps_;
+
   // Cached model arrays.
   std::vector<Bytes> boundary_bytes_;  // per-sample, index 0..R
   std::vector<Bytes> stash_bytes_;     // per-sample, per layer

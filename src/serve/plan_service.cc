@@ -196,7 +196,12 @@ PlanService::ResolveModel(const ModelSpec& spec, const hw::GpuSpec& gpu) {
   {
     std::lock_guard<std::mutex> lock(profile_mu_);
     auto it = profiles_.find(fp);
-    if (it != profiles_.end()) return it->second;
+    if (it != profiles_.end()) {
+      ++profile_hits_;
+      profile_lru_.splice(profile_lru_.begin(), profile_lru_, it->second);
+      return it->second->second;
+    }
+    ++profile_misses_;
   }
   auto graph = BuildModel(spec);
   HARMONY_RETURN_IF_ERROR(graph.status());
@@ -205,10 +210,22 @@ PlanService::ResolveModel(const ModelSpec& spec, const hw::GpuSpec& gpu) {
   profile::ProfileDb db = profiler.Profile(seq);
   auto entry = std::make_shared<const ProfiledModel>(
       std::move(seq), std::move(db), DefaultOptimizer(spec));
+  // Declared before the lock so an evicted entry is freed after unlocking
+  // (or later, by whichever request still holds it).
+  std::shared_ptr<const ProfiledModel> evicted;
   std::lock_guard<std::mutex> lock(profile_mu_);
   // A racing resolver may have inserted first; keep the existing entry so
   // outstanding references stay unique per key.
-  return profiles_.emplace(fp, std::move(entry)).first->second;
+  auto it = profiles_.find(fp);
+  if (it != profiles_.end()) return it->second->second;
+  profile_lru_.emplace_front(fp, std::move(entry));
+  profiles_.emplace(fp, profile_lru_.begin());
+  if (profile_lru_.size() > kProfileMemoEntries) {
+    evicted = std::move(profile_lru_.back().second);
+    profiles_.erase(profile_lru_.back().first);
+    profile_lru_.pop_back();
+  }
+  return profile_lru_.front().second;
 }
 
 PlanResponse PlanService::ComputePlan(const PlanRequest& request,
@@ -371,6 +388,11 @@ void PlanService::Shutdown(bool cancel_inflight) {
 ServiceStats PlanService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+ProfileMemoStats PlanService::profile_memo_stats() const {
+  std::lock_guard<std::mutex> lock(profile_mu_);
+  return ProfileMemoStats{profile_lru_.size(), profile_hits_, profile_misses_};
 }
 
 }  // namespace harmony::serve

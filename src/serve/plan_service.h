@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,6 +77,14 @@ struct ServeOptions {
   PlanFillSource* fill = nullptr;
 };
 
+/// The profiled-model memo behind PlanService: entries held now, and
+/// lifetime lookups answered from it (hits) or by profiling (misses).
+struct ProfileMemoStats {
+  size_t entries = 0;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
 struct ServiceStats {
   uint64_t admitted = 0;        // entered the search pipeline
   uint64_t coalesced = 0;       // single-flight: attached to a running search
@@ -137,6 +146,12 @@ class PlanService {
 
   CacheStats cache_stats() const { return cache_.stats(); }
   ServiceStats stats() const;
+  ProfileMemoStats profile_memo_stats() const;
+
+  /// Most profiled models the memo keeps, least recently used evicted first.
+  /// A fixed bound: keyed by model spec, the memo would otherwise grow for
+  /// the daemon's whole life under a client streaming custom model sizes.
+  static constexpr size_t kProfileMemoEntries = 64;
 
   /// Side-effect-free cache probe for the cluster tier's owner-side
   /// cache_get handler: answers a peer's lookup without perturbing local
@@ -166,7 +181,8 @@ class PlanService {
 
   /// Profiles are pure functions of (model spec, GPU spec) and expensive
   /// enough to amortize across requests — the profile-DB sharing that vDNN
-  /// observes pays off across runs. Entries are immutable once built.
+  /// observes pays off across runs. Entries are immutable once built, and a
+  /// handed-out entry outlives its eviction from the memo.
   struct ProfiledModel {
     model::SequentialModel model;
     profile::ProfileDb profiles;
@@ -204,8 +220,14 @@ class PlanService {
   int next_request_id_ = 0;
   ServiceStats stats_;
 
-  std::mutex profile_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const ProfiledModel>> profiles_;
+  // Profile memo: an LRU list (most recent first) indexed by spec hash.
+  using ProfileLru =
+      std::list<std::pair<uint64_t, std::shared_ptr<const ProfiledModel>>>;
+  mutable std::mutex profile_mu_;
+  ProfileLru profile_lru_;
+  std::unordered_map<uint64_t, ProfileLru::iterator> profiles_;
+  uint64_t profile_hits_ = 0;
+  uint64_t profile_misses_ = 0;
 
   std::mutex trace_mu_;  // serializes bus emissions from worker threads
 };

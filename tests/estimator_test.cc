@@ -178,7 +178,7 @@ TEST(Estimator, GoldenSchedulesPinnedAcrossRewrite) {
     const TaskGraph graph =
         GenerateHarmonyTaskGraph(c22, g.mode, 4, g.minibatch, g.flags, f.db);
     const Estimate e = est.EstimateIteration(graph);
-    EXPECT_DOUBLE_EQ(e.iteration_time, g.time) << g.name;
+    EXPECT_EQ(e.iteration_time, g.time) << g.name;
     EXPECT_EQ(e.swap_bytes, g.swap) << g.name;
     EXPECT_EQ(e.p2p_bytes, g.p2p) << g.name;
   }
@@ -198,7 +198,7 @@ TEST(Estimator, GoldenSchedulesPinnedAcrossRewrite) {
   const TaskGraph graph = GenerateHarmonyTaskGraph(
       c41, HarmonyMode::kPipelineParallel, 4, 12, all_on, f.db);
   const Estimate e = est.EstimateIteration(graph);
-  EXPECT_DOUBLE_EQ(e.iteration_time, 0.14325066413564352);
+  EXPECT_EQ(e.iteration_time, 0.14325066413564352);
   EXPECT_EQ(e.swap_bytes, 511320064);
   EXPECT_EQ(e.p2p_bytes, 9437184);
 }

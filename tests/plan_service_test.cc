@@ -226,6 +226,43 @@ TEST(PlanService, CacheOnAndOffProduceIdenticalPlans) {
   EXPECT_EQ(without_cache.stats().searches, 2u);
 }
 
+TEST(PlanService, ProfileMemoIsBoundedLru) {
+  PlanService service(ServeOptions{});
+  // More distinct custom models than the memo holds: each block count is a
+  // different spec, hence a different profile.
+  const int distinct = static_cast<int>(PlanService::kProfileMemoEntries) + 8;
+  auto request_for = [](int blocks) {
+    PlanRequest r = TinyRequest();
+    r.model.transformer.num_blocks = blocks;
+    return r;
+  };
+  for (int blocks = 1; blocks <= distinct; ++blocks) {
+    ASSERT_TRUE(service.Plan(request_for(blocks)).status.ok()) << blocks;
+    EXPECT_LE(service.profile_memo_stats().entries,
+              PlanService::kProfileMemoEntries);
+  }
+  serve::ProfileMemoStats memo = service.profile_memo_stats();
+  EXPECT_EQ(memo.entries, PlanService::kProfileMemoEntries);
+  EXPECT_EQ(memo.misses, static_cast<uint64_t>(distinct));
+  EXPECT_EQ(memo.hits, 0u);
+
+  // A repeated recent spec hits (bypass the plan cache so the request
+  // resolves its model again); the oldest spec was evicted and re-profiles.
+  PlanRequest recent = request_for(distinct);
+  recent.bypass_cache = true;
+  ASSERT_TRUE(service.Plan(recent).status.ok());
+  memo = service.profile_memo_stats();
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(memo.misses, static_cast<uint64_t>(distinct));
+
+  PlanRequest oldest = request_for(1);
+  oldest.bypass_cache = true;
+  ASSERT_TRUE(service.Plan(oldest).status.ok());
+  memo = service.profile_memo_stats();
+  EXPECT_EQ(memo.misses, static_cast<uint64_t>(distinct) + 1);
+  EXPECT_EQ(memo.entries, PlanService::kProfileMemoEntries);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end over a Unix-domain socket
 // ---------------------------------------------------------------------------

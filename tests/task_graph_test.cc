@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/packing.h"
 #include "core/task_graph.h"
@@ -311,8 +315,9 @@ TEST_F(TaskGraphTest, DepResolverActivationChain) {
     }
   }
   ASSERT_NE(second, nullptr);
-  const auto producers =
-      deps.ActivationProducers(second->pack.lo, second->group.front(), 0);
+  std::vector<std::pair<int, int>> producers;
+  deps.AppendProducers(DepResolver::Input::kActivation, second->pack.lo,
+                       second->group.front(), 0, &producers);
   ASSERT_EQ(producers.size(), 1u);
   EXPECT_EQ(g.task(producers[0].first).pack.hi + 1, second->pack.lo);
 }
@@ -329,7 +334,9 @@ TEST_F(TaskGraphTest, DepResolverCrossGranularityOverlap) {
   ASSERT_NE(fused, nullptr);
   // Each U_B=2 piece overlaps exactly one U_F=4 producer piece.
   for (const MbPiece& piece : fused->group) {
-    const auto producers = deps.ActivationProducers(fused->pack.lo, piece, 0);
+    std::vector<std::pair<int, int>> producers;
+    deps.AppendProducers(DepResolver::Input::kActivation, fused->pack.lo, piece,
+                         0, &producers);
     ASSERT_EQ(producers.size(), 1u);
     const Task& p = g.task(producers[0].first);
     EXPECT_TRUE(p.group[producers[0].second].Overlaps(piece));
@@ -343,8 +350,9 @@ TEST_F(TaskGraphTest, GradientChainLinksBackwardTasks) {
   const DepResolver deps(g);
   for (const Task& t : g.tasks) {
     if (t.type != TaskType::kBackward || t.pack.hi == g.num_layers - 1) continue;
-    const auto producers =
-        deps.GradientProducers(t.pack.hi + 1, t.group.front(), 0);
+    std::vector<std::pair<int, int>> producers;
+    deps.AppendProducers(DepResolver::Input::kGradient, t.pack.hi + 1,
+                         t.group.front(), 0, &producers);
     ASSERT_FALSE(producers.empty()) << "backward task " << t.id;
     EXPECT_EQ(g.task(producers[0].first).pack.lo, t.pack.hi + 1);
   }
@@ -355,9 +363,136 @@ TEST_F(TaskGraphTest, BackwardTasksForPackFindsAllReplicas) {
   const TaskGraph g = GenerateHarmonyTaskGraph(
       c, HarmonyMode::kDataParallel, 4, 16, OptimizationFlags{}, db_);
   const DepResolver deps(g);
-  const auto tasks = deps.BackwardTasksForPack(c.bwd_packs[0], -1);
+  std::vector<int> tasks;
+  deps.BackwardTasksForPack(c.bwd_packs[0], -1, &tasks);
   EXPECT_EQ(tasks.size(), 4u);  // one per replica
 }
+
+// DepResolver's CSR index against brute force: for every F/B unit of every
+// graph, the producer query must return exactly the (task, piece) pairs a
+// scan over all tasks and pieces finds, in the same order (ascending task,
+// then piece); BackwardTasksForPack and AllBackwardTasks must match linear
+// scans over the backward tasks.
+struct ResolverParam {
+  const char* model;
+  int minibatch;
+  bool dp;
+};
+
+class DepResolverProperty : public ::testing::TestWithParam<ResolverParam> {};
+
+std::vector<std::pair<int, int>> BruteForceProducers(
+    const TaskGraph& g, DepResolver::Input input, int boundary,
+    const MbPiece& piece, int replica) {
+  std::vector<std::pair<int, int>> out;
+  for (const Task& t : g.tasks) {
+    if (t.replica != replica || t.type == TaskType::kUpdate) continue;
+    bool produces = false;
+    if (input == DepResolver::Input::kActivation) {
+      const bool ckpt = std::find(t.checkpoint_boundaries.begin(),
+                                  t.checkpoint_boundaries.end(),
+                                  boundary) != t.checkpoint_boundaries.end();
+      produces = boundary > 0 &&
+                 ((t.type == TaskType::kForward && t.pack.hi + 1 == boundary) ||
+                  ((t.type == TaskType::kForward || t.fused_forward) && ckpt));
+    } else {
+      produces = t.type == TaskType::kBackward && t.pack.lo == boundary &&
+                 boundary < g.num_layers;
+    }
+    if (!produces) continue;
+    for (int k = 0; k < static_cast<int>(t.group.size()); ++k) {
+      if (t.group[k].Overlaps(piece)) out.emplace_back(t.id, k);
+    }
+  }
+  return out;
+}
+
+TEST_P(DepResolverProperty, CsrQueriesMatchBruteForce) {
+  const ResolverParam p = GetParam();
+  const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
+  const profile::ProfileDb db =
+      profile::Profiler(machine.gpu, profile::ProfilerOptions{})
+          .Profile(model::Sequentialize(std::string(p.model) == "BERT96"
+                                            ? model::Bert96()
+                                            : model::Gpt2()));
+  PackingOptions opts;
+  opts.capacity = static_cast<Bytes>(
+      static_cast<double>(machine.MinUsableMemory()) * 0.85);
+  Configuration c;
+  c.u_fwd = 4;  // U_F != U_B: producer pieces straddle consumer pieces
+  c.u_bwd = 3;
+  opts.min_packs = 4;
+  c.bwd_packs = BackwardPacks(c.u_bwd, db, opts).value();
+  c.fwd_packs = ForwardPacks(c.u_fwd, c.bwd_packs, db, opts).value();
+
+  DepResolver deps;  // one resolver re-indexed per graph, as the estimator does
+  int units = 0;
+  for (int mask = 0; mask < 8; ++mask) {
+    OptimizationFlags flags;
+    flags.input_batch_grouping = mask & 1;
+    flags.jit_update = mask & 2;
+    flags.jit_compute = mask & 4;
+    const TaskGraph g = GenerateHarmonyTaskGraph(
+        c, p.dp ? HarmonyMode::kDataParallel : HarmonyMode::kPipelineParallel,
+        machine.num_gpus, p.minibatch, flags, db);
+    deps.Rebuild(g);
+    SCOPED_TRACE("flags mask " + std::to_string(mask));
+    std::vector<std::pair<int, int>> got;
+    for (const Task& t : g.tasks) {
+      if (t.type == TaskType::kUpdate) {
+        for (int replica : {t.replica, -1}) {
+          std::vector<int> tasks, want;
+          deps.BackwardTasksForPack(t.pack, replica, &tasks);
+          for (int r = 0; r < g.num_replicas; ++r) {
+            if (replica >= 0 && r != replica) continue;
+            for (const Task& b : g.tasks) {
+              if (b.type == TaskType::kBackward && b.replica == r &&
+                  b.pack == t.pack) {
+                want.push_back(b.id);
+              }
+            }
+          }
+          EXPECT_EQ(tasks, want) << "update task " << t.id;
+        }
+        continue;
+      }
+      for (const MbPiece& piece : t.group) {
+        // Every input a unit can read: its streamed activation or gradient,
+        // and the pack-input activation a checkpointed backward re-reads.
+        for (const auto& [input, boundary] :
+             {std::pair{DepResolver::Input::kActivation, t.pack.lo},
+              std::pair{DepResolver::Input::kGradient, t.pack.hi + 1}}) {
+          got.clear();
+          deps.AppendProducers(input, boundary, piece, t.replica, &got);
+          EXPECT_EQ(got, BruteForceProducers(g, input, boundary, piece,
+                                             t.replica))
+              << "task " << t.id << " piece " << piece.begin;
+          ++units;
+        }
+      }
+    }
+    for (int r = 0; r < g.num_replicas; ++r) {
+      std::vector<int> want;
+      for (const Task& b : g.tasks) {
+        if (b.type == TaskType::kBackward && b.replica == r) want.push_back(b.id);
+      }
+      const auto all = deps.AllBackwardTasks(r);
+      EXPECT_EQ(std::vector<int>(all.begin(), all.end()), want);
+    }
+  }
+  EXPECT_GT(units, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, DepResolverProperty,
+    ::testing::Values(ResolverParam{"BERT96", 13, false},
+                      ResolverParam{"BERT96", 13, true},
+                      ResolverParam{"BERT96", 64, false},
+                      ResolverParam{"BERT96", 64, true},
+                      ResolverParam{"GPT2", 13, false},
+                      ResolverParam{"GPT2", 13, true},
+                      ResolverParam{"GPT2", 64, false},
+                      ResolverParam{"GPT2", 64, true}));
 
 // Property sweep: every (U_F, U_B, mode, flags) combination yields a graph
 // that passes structural validation (ValidateTaskGraph CHECK-fails on bugs).
