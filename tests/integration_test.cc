@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baselines/baselines.h"
 #include "core/scheduler.h"
 #include "model/models.h"
@@ -18,6 +20,13 @@ struct ModelCase {
   model::LayerGraph (*build)();
   model::Optimizer optimizer;
 };
+
+// Print the case by name: the default byte dump contains pointers, which
+// change with address-space randomization and so would make the test names
+// differ from one listing to the next.
+void PrintTo(const ModelCase& mc, std::ostream* os) {
+  *os << '"' << mc.name << '"';
+}
 
 const ModelCase kModels[] = {
     {"BERT-Large", model::BertLarge, model::Optimizer::kAdam},
