@@ -59,6 +59,8 @@ Workload BuildBert96() {
   c.bwd_packs = core::BackwardPacks(4, pm.profiles, opts).value();
   opts.min_packs = 4;
   c.fwd_packs = core::ForwardPacks(4, c.bwd_packs, pm.profiles, opts).value();
+  c.policy = core::PolicyTable::Uniform(pm.profiles.num_layers(),
+                                        core::StashPolicy::kRecompute);
   w.graph = core::GenerateHarmonyTaskGraph(c, core::HarmonyMode::kPipelineParallel,
                                            4, 16, core::OptimizationFlags{},
                                            pm.profiles);

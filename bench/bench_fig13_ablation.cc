@@ -76,6 +76,8 @@ void Run() {
       }
       expert.fwd_packs.assign(expert.bwd_packs.begin(),
                               expert.bwd_packs.end() - 1);
+      expert.policy =
+          core::PolicyTable::Uniform(r_layers, core::StashPolicy::kRecompute);
       RunSchemeOptions opts;
       opts.fixed_config = expert;
       const SchemeResult r = RunScheme(mode, pm, machine, minibatch, opts);

@@ -63,13 +63,22 @@ void BM_BalancedTimePacking_ResNet1K(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancedTimePacking_ResNet1K);
 
-void BM_TaskGraphGeneration(benchmark::State& state) {
+/// GPT2 at U_F = U_B = 4 with recompute everywhere.
+core::Configuration Gpt2Config() {
   const auto& pm = Gpt2Model();
   core::Configuration config;
   config.u_fwd = config.u_bwd = 4;
   config.bwd_packs = core::BackwardPacks(4, pm.profiles, Packing()).value();
   config.fwd_packs =
       core::ForwardPacks(4, config.bwd_packs, pm.profiles, Packing()).value();
+  config.policy = core::PolicyTable::Uniform(pm.profiles.num_layers(),
+                                             core::StashPolicy::kRecompute);
+  return config;
+}
+
+void BM_TaskGraphGeneration(benchmark::State& state) {
+  const auto& pm = Gpt2Model();
+  const core::Configuration config = Gpt2Config();
   for (auto _ : state) {
     auto g = core::GenerateHarmonyTaskGraph(
         config, core::HarmonyMode::kPipelineParallel, 4, 64,
@@ -82,11 +91,7 @@ BENCHMARK(BM_TaskGraphGeneration);
 void BM_RuntimeEstimation(benchmark::State& state) {
   const auto& pm = Gpt2Model();
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
-  core::Configuration config;
-  config.u_fwd = config.u_bwd = 4;
-  config.bwd_packs = core::BackwardPacks(4, pm.profiles, Packing()).value();
-  config.fwd_packs =
-      core::ForwardPacks(4, config.bwd_packs, pm.profiles, Packing()).value();
+  const core::Configuration config = Gpt2Config();
   const auto g = core::GenerateHarmonyTaskGraph(
       config, core::HarmonyMode::kPipelineParallel, 4, 64,
       core::OptimizationFlags{}, pm.profiles);
@@ -115,11 +120,7 @@ BENCHMARK(BM_FullConfigurationSearch_Gpt2)->Arg(8)->Arg(32)->Unit(benchmark::kMi
 
 core::TaskGraph Gpt2Graph(int minibatch) {
   const auto& pm = Gpt2Model();
-  core::Configuration config;
-  config.u_fwd = config.u_bwd = 4;
-  config.bwd_packs = core::BackwardPacks(4, pm.profiles, Packing()).value();
-  config.fwd_packs =
-      core::ForwardPacks(4, config.bwd_packs, pm.profiles, Packing()).value();
+  const core::Configuration config = Gpt2Config();
   return core::GenerateHarmonyTaskGraph(
       config, core::HarmonyMode::kPipelineParallel, 4, minibatch,
       core::OptimizationFlags{}, pm.profiles);

@@ -32,6 +32,8 @@ void Run() {
   config.bwd_packs = core::BackwardPacks(2, pm.profiles, popts).value();
   config.fwd_packs =
       core::ForwardPacks(2, config.bwd_packs, pm.profiles, popts).value();
+  config.policy = core::PolicyTable::Uniform(pm.profiles.num_layers(),
+                                             core::StashPolicy::kRecompute);
   const int m = minibatch / (n * 2);
 
   Table t({"scheme", "measured swap (GiB)", "in units of |W|",

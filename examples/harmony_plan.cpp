@@ -7,6 +7,7 @@
 //   ./build/examples/harmony_plan ResNet1K dp 32 --gpus=8 --run
 //   ./build/examples/harmony_plan GPT2-20B pp 32 --gpus=8 --run
 //   ./build/examples/harmony_plan BERT96 pp 8 --trace-out trace.json
+//   ./build/examples/harmony_plan BERT96 pp 8 --trace-tensor='W[L0,o0]'
 //   ./build/examples/harmony_plan BERT96 pp 8 --replan --link-fail=0@0.05/0.25
 
 #include <algorithm>
@@ -23,13 +24,15 @@
 #include "core/scheduler.h"
 #include "runtime/runtime.h"
 #include "trace/chrome_trace.h"
+#include "trace/filter_sink.h"
 
 namespace {
 
 int Usage() {
   std::cerr
       << "usage: harmony_plan <model> <dp|pp> <minibatch> [--gpus=N] [--run]\n"
-         "                    [--trace-out <file>] [--deadline-ms=N]\n"
+         "                    [--trace-out <file>] [--trace-tensor=<key>]\n"
+         "                    [--deadline-ms=N]\n"
          "                    [--policy=<mode>] [--dump-policy]\n"
          "                    [--replan] [--iterations=N] [--replan-margin=F]\n"
          "                    [--health-window-ms=N]\n"
@@ -38,11 +41,14 @@ int Usage() {
          "  model: BERT-Large | BERT96 | GPT2 | GPT2-Medium | VGG416 |\n"
          "         ResNet1K | GPT2-<n>B\n"
          "  --policy selects the residency-policy search axis: legacy |\n"
-         "  recompute | keep | swap | hybrid | sweep (default legacy).\n"
+         "  recompute | swap | hybrid | sweep (default legacy, which plans\n"
+         "  as recompute).\n"
          "  --dump-policy prints the chosen per-layer {keep,swap,recompute}\n"
          "  table with stash bytes and recompute cost per layer run.\n"
          "  --trace-out writes the executed iteration's timeline as Chrome\n"
          "  trace JSON (load in chrome://tracing or Perfetto); implies --run.\n"
+         "  --trace-tensor prints every state transition of one runtime\n"
+         "  tensor (e.g. 'W[L0,o0]' or 'A[L5,b2,o0]') to stderr; implies --run.\n"
          "  --deadline-ms bounds the whole invocation (search + execution)\n"
          "  with a cooperative cancel token; exceeding it exits with\n"
          "  DeadlineExceeded instead of running open-ended.\n"
@@ -90,6 +96,7 @@ int main(int argc, char** argv) {
   int health_window_ms = 0;
   fault::FaultPlan fault_plan;
   std::string trace_out;
+  std::string trace_tensor;
   core::PolicyMode policy_mode = core::PolicyMode::kLegacy;
   for (int i = 4; i < argc; ++i) {
     if (std::strncmp(argv[i], "--gpus=", 7) == 0) {
@@ -141,13 +148,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
       run = true;
+    } else if (std::strncmp(argv[i], "--trace-tensor=", 15) == 0) {
+      trace_tensor = argv[i] + 15;
+      run = true;
     } else {
       return Usage();
     }
-  }
-  if (trace_out.empty() && std::getenv("HARMONY_TRACE_OUT") != nullptr) {
-    trace_out = std::getenv("HARMONY_TRACE_OUT");
-    run = true;
   }
   if (minibatch < 1 || (mode_str != "dp" && mode_str != "pp")) return Usage();
   const auto mode = mode_str == "pp" ? core::HarmonyMode::kPipelineParallel
@@ -170,6 +176,8 @@ int main(int argc, char** argv) {
     ao.fault_plan = fault_plan;
     trace::ChromeTraceSink chrome;
     if (!trace_out.empty()) ao.trace_sinks.push_back(&chrome);
+    trace::FilterSink tensor_filter(trace_tensor);
+    if (!trace_tensor.empty()) ao.trace_sinks.push_back(&tensor_filter);
     core::SearchOptions so;
     so.policy_mode = policy_mode;
     adapt::AdaptiveRunner runner(machine, spec.value(), mode, minibatch, {},
@@ -198,6 +206,7 @@ int main(int argc, char** argv) {
       std::cout << "  replan @ iteration " << d.iteration << ": "
                 << (d.applied ? "applied" : "rejected") << " (" << d.reason
                 << ")";
+      if (!d.status.ok()) std::cout << ": " << d.status;
       if (d.old_estimate_seconds > 0) {
         std::cout << ", old est " << FormatTime(d.old_estimate_seconds)
                   << " -> new est " << FormatTime(d.new_estimate_seconds)
@@ -268,13 +277,8 @@ int main(int argc, char** argv) {
 
   if (dump_policy) {
     const int R = pm.profiles.num_layers();
-    core::PolicyTable pol = r.best.policy;
-    if (pol.empty()) {
-      pol = core::PolicyTable::Legacy(R, core::OptimizationFlags{}.use_recompute);
-    }
-    std::cout << "\nResidency policy (" << (r.best.policy.empty() ? "legacy"
-                                                                  : "searched")
-              << ", table " << (pol.ToString().empty() ? "-" : pol.ToString())
+    const core::PolicyTable& pol = r.best.policy;
+    std::cout << "\nResidency policy (table " << pol.ToString()
               << "), per layer run at U_B=" << r.best.u_bwd << ":\n";
     std::cout << "  layers      policy     stash        recompute\n";
     for (int lo = 0; lo < R;) {
@@ -323,6 +327,8 @@ int main(int argc, char** argv) {
   if (deadline_ms > 0) ro.cancel = &cancel;
   trace::ChromeTraceSink chrome;
   if (!trace_out.empty()) ro.trace_sinks.push_back(&chrome);
+  trace::FilterSink tensor_filter(trace_tensor);
+  if (!trace_tensor.empty()) ro.trace_sinks.push_back(&tensor_filter);
   const auto metrics = rt.Execute(graph, ro);
   if (!metrics.ok()) {
     std::cerr << "execution failed: " << metrics.status() << "\n";

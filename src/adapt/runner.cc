@@ -158,15 +158,19 @@ Result<AdaptResult> AdaptiveRunner::Run() {
       planner = &local;
       candidate = local.Plan(request);
     }
-    if (!candidate.ok()) {
-      decision.planner = planner->name();
-      decision.reason = "plan-failed";
+    decision.planner = planner->name();
+    // A remote planner's configuration may not fit this model.
+    decision.status = candidate.ok()
+                          ? core::ValidateConfiguration(
+                                candidate.value().config, model.num_layers())
+                          : candidate.status();
+    if (!decision.status.ok()) {
+      decision.reason = candidate.ok() ? "invalid-plan" : "plan-failed";
       EmitReplanEvent(trace::EventKind::kReplanRejected, i, clock, 0,
                       decision.reason);
       result.decisions.push_back(decision);
       continue;
     }
-    decision.planner = planner->name();
     decision.new_estimate_seconds = candidate.value().estimate.iteration_time;
 
     // Honest comparison: the *old* configuration re-estimated on the

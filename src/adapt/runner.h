@@ -50,7 +50,9 @@ struct AdaptOptions {
 struct ReplanDecision {
   int iteration = -1;           // boundary after this iteration index
   bool applied = false;         // false = rejected
-  const char* reason = "";      // trigger ("link-degrade") or "below-margin"
+  const char* reason = "";      // trigger ("link-degrade"), "below-margin",
+                                // "plan-failed" or "invalid-plan"
+  Status status;                // the error behind plan-failed/invalid-plan
   double old_estimate_seconds = 0;  // old plan estimated on degraded machine
   double new_estimate_seconds = 0;  // candidate plan's estimate
   const char* planner = "";     // which planner produced the candidate

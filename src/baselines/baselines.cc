@@ -33,7 +33,6 @@ OptimizationFlags LmsFlags() {
   f.prefetch = false;
   f.cpu_optimizer = false;
   f.smart_eviction = false;  // LMS always transfers evicted tensors
-  f.use_recompute = false;
   return f;
 }
 
@@ -52,10 +51,10 @@ TaskGraph BuildPipeline(const std::string& name,
   TaskGraph g;
   g.name = name;
   g.flags = LmsFlags();
-  g.flags.use_recompute = recompute;
   // Baselines are global-policy by construction: all-recompute ("R"
   // variants) or all-keep (full-stash variants, LMS-style demand paging).
-  g.stash_policy = core::PolicyTable::Legacy(R, recompute);
+  g.stash_policy = core::PolicyTable::Uniform(
+      R, recompute ? core::StashPolicy::kRecompute : core::StashPolicy::kKeep);
   g.num_devices = num_devices;
   g.num_replicas = 1;
   g.num_layers = R;
@@ -192,6 +191,9 @@ TaskGraph DpSwap(const profile::ProfileDb& profiles, int num_devices,
   config.u_fwd = microbatch;
   config.u_bwd = microbatch;
   config.bwd_packs = {Pack{0, profiles.num_layers() - 1}};
+  // Full stash, demand-paged (LMS).
+  config.policy =
+      core::PolicyTable::Uniform(profiles.num_layers(), core::StashPolicy::kKeep);
   OptimizationFlags flags = LmsFlags();
   flags.jit_compute = true;  // fused per-microbatch fwd+bwd = vanilla autograd
   flags.p2p_transfers = false;  // DP GPUs exchange nothing but gradients
@@ -219,9 +221,10 @@ TaskGraph PipeDream2bwSwap(const profile::ProfileDb& profiles, int num_devices,
 TaskGraph ZeroInfinity(const profile::ProfileDb& profiles,
                        const Configuration& harmony_config, int num_devices,
                        int minibatch) {
-  // ZeRO-Infinity shares Harmony's configuration (Sec 5.3) and its CPU
-  // optimizer + recompute, but lacks input-batch grouping: weights stream in
-  // per layer per microbatch, partial gradients push to host per microbatch.
+  // ZeRO-Infinity shares Harmony's configuration (Sec 5.3), residency table
+  // included, and its CPU optimizer, but lacks input-batch grouping: weights
+  // stream in per layer per microbatch, partial gradients push to host per
+  // microbatch.
   OptimizationFlags flags;
   flags.input_batch_grouping = false;
   flags.jit_update = true;       // ZeRO updates as gradient buckets arrive
@@ -230,7 +233,6 @@ TaskGraph ZeroInfinity(const profile::ProfileDb& profiles,
   flags.prefetch = true;         // overlap-centric design
   flags.cpu_optimizer = true;    // optimizer offloaded to CPU
   flags.smart_eviction = true;   // gathered weights are freed, not written back
-  flags.use_recompute = true;
   TaskGraph g = core::GenerateHarmonyTaskGraph(harmony_config,
                                                HarmonyMode::kDataParallel,
                                                num_devices, minibatch, flags,

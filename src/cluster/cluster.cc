@@ -409,6 +409,10 @@ Result<serve::PlanResponse> TierClient::Plan(
   Status last = Status::Ok();
   Rng rng(retry_.seed);
   int shed_retries = 0;
+  const Clock::time_point deadline =
+      request.deadline_ms > 0
+          ? Clock::now() + std::chrono::milliseconds(request.deadline_ms)
+          : Clock::time_point::max();
   for (const std::string& member : candidates) {
     for (;;) {
       auto client = ClientFor(member);
@@ -431,6 +435,11 @@ Result<serve::PlanResponse> TierClient::Plan(
         // failing over would just stampede the next member.
         double delay = retry_.backoff.DelayFor(shed_retries, &rng);
         delay = std::max(delay, response.value().retry_after_ms / 1000.0);
+        // Never retry past the request deadline (as PlanWithRetry): surface
+        // the shed response while the caller can still act on it.
+        if (Clock::now() + std::chrono::duration<double>(delay) >= deadline) {
+          return response;
+        }
         ++shed_retries;
         std::this_thread::sleep_for(std::chrono::duration<double>(delay));
         continue;

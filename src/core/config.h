@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "model/policy.h"
 
@@ -45,13 +46,18 @@ struct Configuration {
   int u_bwd = 1;
   PackList fwd_packs;
   PackList bwd_packs;
-  /// Per-layer stash residency. Empty = legacy: the task-graph generator
-  /// derives a uniform table from OptimizationFlags::use_recompute, which
-  /// reproduces the pre-policy-axis graphs bit-for-bit.
+  /// Per-layer stash residency, one entry per model layer.
   PolicyTable policy;
 
   std::string ToString() const;
 };
+
+/// InvalidArgument unless `config` fits a model of `num_layers` layers:
+/// microbatch sizes >= 1, backward packs tiling [0, num_layers), forward
+/// packs tiling the layers before the last backward pack, and one policy
+/// entry per layer. For configurations from outside the process, which the
+/// graph generator would CHECK-fail on or silently mis-lower.
+Status ValidateConfiguration(const Configuration& config, int num_layers);
 
 /// Harmony's runtime/scheduling optimizations (Sec 3, ablated in Fig 13).
 /// All on by default; each can be disabled in isolation.
@@ -77,11 +83,6 @@ struct OptimizationFlags {
   /// tensors are dropped on eviction without a copy-out. (Per-GPU-swap
   /// baselines, which lack this context, always transfer on eviction.)
   bool smart_eviction = true;
-  /// Legacy coarse residency knob: when Configuration::policy is empty the
-  /// generator lowers this to a uniform PolicyTable (all-kRecompute when set
-  /// — Harmony's Sec 4.3.1 default — all-kKeep otherwise, the full-stash
-  /// baselines). A non-empty policy table overrides it per layer.
-  bool use_recompute = true;
 };
 
 }  // namespace harmony::core

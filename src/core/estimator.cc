@@ -162,7 +162,7 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
   sc.prefix_swap.assign(graph.num_layers + 1, 0);
   sc.prefix_remat.assign(graph.num_layers + 1, 0);
   for (int l = 0; l < graph.num_layers; ++l) {
-    const StashPolicy p = graph.policy_at(l);
+    const StashPolicy p = graph.stash_policy.at(l);
     sc.prefix_swap[l + 1] =
         sc.prefix_swap[l] +
         (p == StashPolicy::kSwap ? profiles_.layer(l).stash_bytes_per_sample
@@ -189,11 +189,11 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
         if (remat_layers == t.pack.num_layers()) {
           // Whole-pack rematerialization: one PackFwdTime call, not a
           // per-layer sum — preserves the FP summation order of the
-          // pre-policy estimator so legacy goldens stay bit-identical.
+          // pre-policy estimator so the pinned goldens stay bit-identical.
           *duration += profiles_.PackFwdTime(t.pack.lo, t.pack.hi, usize);
         } else if (remat_layers > 0) {
           for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-            if (graph.policy_at(l) == StashPolicy::kRecompute) {
+            if (graph.stash_policy.at(l) == StashPolicy::kRecompute) {
               *duration += profiles_.FwdTime(l, usize);
             }
           }
@@ -202,7 +202,7 @@ Estimate RuntimeEstimator::EstimateIteration(const TaskGraph& graph,
         // (host -> device on the critical path; kKeep stays free).
         if (swap_per_sample > 0) {
           for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-            if (graph.policy_at(l) != StashPolicy::kSwap) continue;
+            if (graph.stash_policy.at(l) != StashPolicy::kSwap) continue;
             const Bytes st = static_cast<Bytes>(usize) *
                              profiles_.layer(l).stash_bytes_per_sample;
             if (st == 0) continue;

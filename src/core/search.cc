@@ -20,7 +20,6 @@ const char* PolicyModeName(PolicyMode mode) {
   switch (mode) {
     case PolicyMode::kLegacy: return "legacy";
     case PolicyMode::kRecomputeAll: return "recompute";
-    case PolicyMode::kKeepAll: return "keep";
     case PolicyMode::kSwapAll: return "swap";
     case PolicyMode::kHybridGreedy: return "hybrid";
     case PolicyMode::kSweep: return "sweep";
@@ -30,8 +29,8 @@ const char* PolicyModeName(PolicyMode mode) {
 
 Result<PolicyMode> PolicyModeFromName(const std::string& name) {
   for (PolicyMode m :
-       {PolicyMode::kLegacy, PolicyMode::kRecomputeAll, PolicyMode::kKeepAll,
-        PolicyMode::kSwapAll, PolicyMode::kHybridGreedy, PolicyMode::kSweep}) {
+       {PolicyMode::kLegacy, PolicyMode::kRecomputeAll, PolicyMode::kSwapAll,
+        PolicyMode::kHybridGreedy, PolicyMode::kSweep}) {
     if (name == PolicyModeName(m)) return m;
   }
   return Status::InvalidArgument("unknown policy mode '" + name + "'");
@@ -65,7 +64,8 @@ struct GridPoint {
 struct EvalOutcome {
   /// Number of (candidate, policy-table) pairs that were feasible; `config`
   /// and `estimate` describe the best of them (lowest time, then lowest
-  /// table index — a deterministic within-candidate tie-break).
+  /// table index — a deterministic within-candidate tie-break). The merge
+  /// fills `config.policy` from `best_table`; outcomes hold no R-entry copy.
   int feasible_count = 0;
   int best_table = 0;
   Configuration config;
@@ -179,11 +179,8 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   auto policy_tables = [&](int u_bwd) -> std::vector<PolicyTable> {
     switch (options.policy_mode) {
       case PolicyMode::kLegacy:
-        return {PolicyTable()};  // empty: flags.use_recompute decides
       case PolicyMode::kRecomputeAll:
         return {PolicyTable::Uniform(R, StashPolicy::kRecompute)};
-      case PolicyMode::kKeepAll:
-        return {PolicyTable::Uniform(R, StashPolicy::kKeep)};
       case PolicyMode::kSwapAll:
         return {PolicyTable::Uniform(R, StashPolicy::kSwap)};
       case PolicyMode::kHybridGreedy:
@@ -193,13 +190,13 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
                 PolicyTable::Uniform(R, StashPolicy::kSwap),
                 greedy_table(u_bwd)};
     }
-    return {PolicyTable()};
+    return {};
   };
   const int tables_per_point =
       options.policy_mode == PolicyMode::kSweep ? 3 : 1;
 
-  // Capacity gate for tables the balanced-time packing (which models the
-  // legacy always-recompute working set) cannot vet: kept stash must stay
+  // Capacity gate for what the balanced-time packing (which models the
+  // all-recompute working set) cannot vet: kept stash must stay
   // resident from forward to backward alongside every task's working set,
   // and swapped stash transits GPU memory before its move completes. The
   // kept term conservatively double-counts the backward pack's own stash
@@ -211,7 +208,6 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
           : minibatch;
   auto policy_feasible = [&](const Configuration& config,
                              const PolicyTable& table) {
-    if (table.empty()) return true;  // legacy: packing already vetted it
     Bytes kept = 0;
     for (int l = 0; l < R; ++l) {
       if (table.at(l) == StashPolicy::kKeep) {
@@ -326,8 +322,9 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
     }
 
     // Policy axis: evaluate each candidate table on this four-tuple and keep
-    // the best (lowest time, then lowest table index). With kLegacy this is
-    // one empty table and reproduces the pre-policy evaluation exactly.
+    // the best (lowest time, then lowest table index). An all-recompute
+    // table adds nothing to the packing's working set, so for it the gate
+    // re-checks bounds the packing already enforced.
     const std::vector<PolicyTable>& tables = tables_by_ubwd[pt.u_bwd];
     for (int ti = 0; ti < static_cast<int>(tables.size()); ++ti) {
       config.policy = tables[ti];
@@ -348,6 +345,7 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
         out.config = config;
       }
     }
+    out.config.policy = PolicyTable();
     return out;
   };
 
@@ -397,13 +395,16 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
     const bool better =
         best_time < 0 || out.estimate.iteration_time < best_time ||
         (out.estimate.iteration_time == best_time && key < best_key);
+    const PolicyTable& table = tables_by_ubwd[points[i].u_bwd][out.best_table];
     if (better) {
       best_time = out.estimate.iteration_time;
       best_key = key;
       result.best = out.config;
+      result.best.policy = table;
       result.best_estimate = out.estimate;
     }
     if (options.keep_explored) {
+      out.config.policy = table;
       result.explored.push_back(
           ExploredConfig{std::move(out.config), out.estimate});
     }

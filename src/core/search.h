@@ -13,13 +13,13 @@
 namespace harmony::core {
 
 /// How Algorithm 1 treats the per-layer {keep, swap, recompute} stash axis.
+/// Every mode hands each candidate explicit per-layer tables.
 enum class PolicyMode {
-  /// Empty policy tables: OptimizationFlags::use_recompute decides, and the
-  /// search is bit-identical to the pre-policy-axis implementation.
+  /// The pre-policy default, kept as a wire name: plans exactly as
+  /// kRecomputeAll (Harmony's Sec 4.3.1 recompute-everywhere).
   kLegacy = 0,
   /// Force one uniform table on every candidate.
   kRecomputeAll,
-  kKeepAll,
   kSwapAll,
   /// Greedy per-layer dominance at each candidate's U_B: recompute iff the
   /// re-forward is cheaper than the estimated swap stall, else swap
@@ -31,8 +31,8 @@ enum class PolicyMode {
 };
 
 const char* PolicyModeName(PolicyMode mode);
-/// Parses the names PolicyModeName emits ("legacy", "recompute", "keep",
-/// "swap", "hybrid", "sweep"); used by the wire format and harmony_plan.
+/// Parses the names PolicyModeName emits ("legacy", "recompute", "swap",
+/// "hybrid", "sweep"); used by the wire format and harmony_plan.
 Result<PolicyMode> PolicyModeFromName(const std::string& name);
 
 struct SearchOptions {
@@ -46,9 +46,8 @@ struct SearchOptions {
   /// Table 4 ablation: force the forward configuration to equal the backward
   /// one (Equi-FB) instead of searching a distinct four-tuple (Distinct-FB).
   bool equi_fb = false;
-  /// Residency-policy axis (see PolicyMode). kLegacy keeps the search — and
-  /// its explored/feasible counts, winner and estimate — bit-identical to
-  /// the pre-policy implementation; kSweep adds {recompute-all, swap-all,
+  /// Residency-policy axis (see PolicyMode). The default plans
+  /// recompute-everywhere; kSweep adds {recompute-all, swap-all,
   /// greedy-hybrid} as a per-candidate Pareto dimension.
   PolicyMode policy_mode = PolicyMode::kLegacy;
   /// Worker threads for the candidate sweep. 1 runs serially in the calling

@@ -209,12 +209,8 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
   const Pack last_bwd = config.bwd_packs.back();
   if (!flags.jit_compute) fwd_packs.push_back(last_bwd);
 
-  // Resolve the residency policy table (the explicit {keep, swap, recompute}
-  // axis). An empty Configuration::policy lowers the legacy use_recompute
-  // flag to its canonical uniform table, reproducing pre-policy graphs
-  // bit-for-bit.
-  PolicyTable policy = config.policy;
-  if (policy.empty()) policy = PolicyTable::Legacy(R, flags.use_recompute);
+  // The residency policy table (the {keep, swap, recompute} axis).
+  const PolicyTable& policy = config.policy;
   HARMONY_CHECK_EQ(policy.num_layers(), R)
       << "policy table size != model layers";
   g.stash_policy = policy;
@@ -423,6 +419,7 @@ TaskGraph GenerateHarmonyTaskGraph(const Configuration& config, HarmonyMode mode
 void ValidateTaskGraph(const TaskGraph& graph) {
   HARMONY_CHECK_GE(graph.num_devices, 1);
   HARMONY_CHECK_GE(graph.num_layers, 1);
+  HARMONY_CHECK_EQ(graph.stash_policy.num_layers(), graph.num_layers);
   HARMONY_CHECK_EQ(static_cast<int>(graph.device_order.size()), graph.num_devices);
 
   for (int i = 0; i < graph.num_tasks(); ++i) {

@@ -49,8 +49,7 @@ struct Task {
   int replica = 0;
 
   /// Backward-task modifier (jit-compute): runs the pack's forward too.
-  /// Per-layer stash handling otherwise lives in TaskGraph::stash_policy —
-  /// what used to be the scattered `recompute` / `save_full_stash` bools.
+  /// Per-layer stash handling otherwise lives in TaskGraph::stash_policy.
   bool fused_forward = false;
 
   /// Forward tasks: boundary layers b such that the input of layer b (the
@@ -80,10 +79,9 @@ struct TaskGraph {
   int u_fwd = 1;
   int u_bwd = 1;
 
-  /// Per-layer stash residency (tentpole of the policy-axis refactor): the
-  /// generator resolves Configuration::policy (or the legacy flag) into this
-  /// table and lowers it into checkpoint boundaries / reads_checkpoint;
-  /// StepCompiler and the estimator consult it through policy_at().
+  /// Per-layer stash residency, one entry per layer: the generator copies
+  /// Configuration::policy here and lowers it into checkpoint boundaries /
+  /// reads_checkpoint; StepCompiler and the estimator read it per layer.
   PolicyTable stash_policy;
 
   std::vector<Task> tasks;
@@ -102,16 +100,6 @@ struct TaskGraph {
 
   const Task& task(int id) const { return tasks.at(id); }
   int num_tasks() const { return static_cast<int>(tasks.size()); }
-
-  /// Layer `l`'s stash policy. The one sanctioned compat shim: hand-built
-  /// graphs (tests, ad-hoc baselines) that never filled the table fall back
-  /// to the legacy flag, exactly as the old per-task bools were derived.
-  StashPolicy policy_at(int l) const {
-    if (stash_policy.empty()) {
-      return flags.use_recompute ? StashPolicy::kRecompute : StashPolicy::kKeep;
-    }
-    return stash_policy.at(l);
-  }
 };
 
 /// Resolves structural dependencies between tasks.

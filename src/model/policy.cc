@@ -67,7 +67,6 @@ std::string PolicyTable::ToString() const {
 
 Result<PolicyTable> PolicyTable::FromString(const std::string& s) {
   PolicyTable t;
-  if (s.empty()) return t;
   size_t pos = 0;
   int expected_lo = 0;
   while (pos < s.size()) {

@@ -1,10 +1,7 @@
 #include "runtime/runtime.h"
 
-#include <memory>
-
 #include "runtime/executor.h"
 #include "runtime/step_compiler.h"
-#include "trace/filter_sink.h"
 #include "trace/metrics_sink.h"
 #include "trace/trace.h"
 
@@ -22,11 +19,6 @@ Result<RunMetrics> Runtime::Execute(const core::TaskGraph& graph,
   trace::TraceBus bus;
   trace::MetricsSink metrics(graph.num_devices);
   bus.AddSink(&metrics);
-  std::unique_ptr<trace::FilterSink> filter;
-  if (const char* f = trace::FilterSink::EnvFilter()) {
-    filter = std::make_unique<trace::FilterSink>(f);
-    bus.AddSink(filter.get());
-  }
   for (trace::TraceSink* sink : options.trace_sinks) {
     if (sink != nullptr) bus.AddSink(sink);
   }

@@ -71,7 +71,7 @@ struct RuntimeOptions {
   /// static state and during execution from the dynamic peak.
   bool enforce_host_capacity = true;
   /// Extra observers attached to the execution's trace bus (borrowed, e.g. a
-  /// ChromeTraceSink); MetricsSink and the HARMONY_RUNTIME_TRACE filter are
+  /// ChromeTraceSink, or a FilterSink following one tensor); MetricsSink is
   /// always attached. Null entries are ignored.
   std::vector<trace::TraceSink*> trace_sinks;
 

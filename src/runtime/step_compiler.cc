@@ -57,7 +57,7 @@ void StepCompiler::Precompute() {
       // the backward rematerializes it (fused packs have no forward task and
       // always rematerialize, so they never reach here).
       for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-        if (graph_.policy_at(l) != core::StashPolicy::kRecompute) {
+        if (graph_.stash_policy.at(l) != core::StashPolicy::kRecompute) {
           merge(&stash_layout_[t.replica][l], t.group);
         }
       }
@@ -111,7 +111,7 @@ std::vector<NeedSpec> StepCompiler::StashKeys(int layer, int replica,
       << "backward without recompute needs stash of layer " << layer;
   // Swapped-out stash lives host-side only (the forward's move released the
   // GPU copy); consumers must pull it back through the host channel.
-  const bool swapped = graph_.policy_at(layer) == core::StashPolicy::kSwap;
+  const bool swapped = graph_.stash_policy.at(layer) == core::StashPolicy::kSwap;
   for (const MbPiece& p : stash_layout_[replica][layer]) {
     if (!p.Overlaps(piece)) continue;
     NeedSpec n{Id(TensorKey{TensorKind::kStash, layer, p.begin, replica}),
@@ -157,7 +157,7 @@ void StepCompiler::CompileForward(const Task& t) {
           s.copy_to_host.push_back(out);
         }
       }
-      const core::StashPolicy pol = graph_.policy_at(l);
+      const core::StashPolicy pol = graph_.stash_policy.at(l);
       if (pol != core::StashPolicy::kRecompute && stash_bytes_[l] > 0) {
         const TensorId st =
             Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica});
@@ -181,7 +181,7 @@ void StepCompiler::CompileBackward(const Task& t) {
   // pack; otherwise only the layers the residency policy marked kRecompute.
   auto remat_layer = [&](int l) {
     return t.fused_forward ||
-           graph_.policy_at(l) == core::StashPolicy::kRecompute;
+           graph_.stash_policy.at(l) == core::StashPolicy::kRecompute;
   };
   const bool push_grads =
       graph_.flags.cpu_optimizer || graph_.grad_reduce_via_host;

@@ -353,7 +353,9 @@ json::Value OptimizationFlagsToJson(const core::OptimizationFlags& flags) {
   v.Set("prefetch", flags.prefetch);
   v.Set("cpu_optimizer", flags.cpu_optimizer);
   v.Set("smart_eviction", flags.smart_eviction);
-  v.Set("use_recompute", flags.use_recompute);
+  // A constant: residency is the plan's per-layer table. Written so request
+  // fingerprints do not move.
+  v.Set("use_recompute", true);
   return v;
 }
 
@@ -367,7 +369,11 @@ Result<core::OptimizationFlags> OptimizationFlagsFromJson(const json::Value& v) 
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "prefetch", &f.prefetch));
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "cpu_optimizer", &f.cpu_optimizer));
   HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "smart_eviction", &f.smart_eviction));
-  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "use_recompute", &f.use_recompute));
+  bool use_recompute = false;
+  HARMONY_RETURN_IF_ERROR(json::ReadBool(v, "use_recompute", &use_recompute));
+  if (!use_recompute) {
+    return Status::InvalidArgument("flags: use_recompute must be true");
+  }
   return f;
 }
 
@@ -401,12 +407,14 @@ Result<core::Configuration> ConfigurationFromJson(const json::Value& v) {
   HARMONY_RETURN_IF_ERROR(b.status());
   c.fwd_packs = std::move(f).value();
   c.bwd_packs = std::move(b).value();
-  // Residency policy: absent from pre-policy peers ⇒ empty table (legacy).
+  // A missing or empty policy (a pre-policy peer or disk file) fails the
+  // check below, which the tier's fills treat as a miss.
   std::string policy;
   (void)json::ReadString(v, "policy", &policy);
   auto table = model::PolicyTable::FromString(policy);
   HARMONY_RETURN_IF_ERROR(table.status());
   c.policy = std::move(table).value();
+  HARMONY_RETURN_IF_ERROR(core::ValidateConfiguration(c, c.policy.num_layers()));
   return c;
 }
 

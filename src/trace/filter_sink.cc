@@ -1,13 +1,6 @@
 #include "trace/filter_sink.h"
 
-#include <cstdlib>
-
 namespace harmony::trace {
-
-const char* FilterSink::EnvFilter() {
-  static const char* filter = std::getenv("HARMONY_RUNTIME_TRACE");
-  return filter;
-}
 
 void FilterSink::OnEvent(const Event& e) {
   if (e.kind != EventKind::kTensor || e.name != filter_) return;

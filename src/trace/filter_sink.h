@@ -9,18 +9,13 @@
 namespace harmony::trace {
 
 /// Per-tensor diagnostic tracing: prints every state transition of one tensor
-/// to stderr, subsuming the old HARMONY_RUNTIME_TRACE env-var hack that lived
-/// inside the runtime. The environment is read exactly once per process (at
-/// first EnvFilter() call), not on every state transition.
+/// to `out` (pass it in RuntimeOptions::trace_sinks, as harmony_plan's
+/// --trace-tensor does).
 class FilterSink : public TraceSink {
  public:
   /// `filter` is a tensor key string, e.g. "A[L5,b2,o0]".
   explicit FilterSink(std::string filter, FILE* out = stderr)
       : filter_(std::move(filter)), out_(out) {}
-
-  /// The HARMONY_RUNTIME_TRACE value, read from the environment exactly once
-  /// per process; nullptr when unset.
-  static const char* EnvFilter();
 
   bool WantsDetail() const override { return true; }
   bool WantsTensorEvents() const override { return true; }

@@ -530,5 +530,61 @@ TEST(AdaptEndToEnd, HealthWindowConvertsToWholeIterations) {
   EXPECT_EQ(run.value().switch_iteration, 1);
 }
 
+/// A remote planner answering for some other model: its configuration is
+/// well-formed on the wire but does not fit the runner's model.
+class MisfitPlanner : public Planner {
+ public:
+  MisfitPlanner(int num_layers, bool short_packs)
+      : num_layers_(num_layers), short_packs_(short_packs) {}
+
+  Result<PlanOutcome> Plan(const serve::PlanRequest&) override {
+    PlanOutcome out;
+    const int R = num_layers_;
+    out.config.bwd_packs = {core::Pack{0, short_packs_ ? R - 2 : R - 1}};
+    out.config.policy = core::PolicyTable::Uniform(
+        short_packs_ ? R : R - 1, core::StashPolicy::kRecompute);
+    out.estimate.iteration_time = 1e-9;  // would clear any margin
+    return out;
+  }
+  const char* name() const override { return "misfit"; }
+
+ private:
+  int num_layers_;
+  bool short_packs_;
+};
+
+TEST(AdaptEndToEnd, MisfitRemoteConfigIsARejectedDecision) {
+  const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
+  const auto spec = serve::ModelSpec::FromName("BERT96");
+  ASSERT_TRUE(spec.ok());
+  const int R = ModelFor(spec.value()).num_layers();
+  for (const bool short_packs : {true, false}) {
+    SCOPED_TRACE(short_packs ? "packs end before layer R-1"
+                             : "table has R-1 entries");
+    MisfitPlanner planner(R, short_packs);
+    ReplanEventSink events;
+    AdaptOptions ao;
+    ao.iterations = 3;
+    ao.replan_margin = -1.0;
+    ao.fault_plan = PersistentLinkFail(machine);
+    ao.planner = &planner;
+    ao.trace_sinks.push_back(&events);
+    AdaptiveRunner runner(machine, spec.value(),
+                          HarmonyMode::kPipelineParallel, 8, {}, {}, ao);
+    const auto run = runner.Run();
+    ASSERT_TRUE(run.ok()) << run.status();
+    const AdaptResult& ar = run.value();
+    ASSERT_EQ(ar.decisions.size(), 1u);
+    const ReplanDecision& d = ar.decisions[0];
+    EXPECT_FALSE(d.applied);
+    EXPECT_STREQ(d.reason, "invalid-plan");
+    EXPECT_STREQ(d.planner, "misfit");
+    EXPECT_EQ(d.status.code(), StatusCode::kInvalidArgument) << d.status;
+    EXPECT_FALSE(ar.switched);
+    EXPECT_EQ(events.rejected(), 1);
+    EXPECT_EQ(ar.iterations.size(), 3u);
+  }
+}
+
 }  // namespace
 }  // namespace harmony::adapt

@@ -100,6 +100,8 @@ Workload BuildWorkload(const model::LayerGraph& layer_graph, int minibatch,
   c.bwd_packs = core::BackwardPacks(u, db, opts).value();
   opts.min_packs = fwd_min_packs;
   c.fwd_packs = core::ForwardPacks(u, c.bwd_packs, db, opts).value();
+  c.policy = core::PolicyTable::Uniform(db.num_layers(),
+                                        core::StashPolicy::kRecompute);
 
   w.graph = core::GenerateHarmonyTaskGraph(c, HarmonyMode::kPipelineParallel,
                                            4, minibatch, OptimizationFlags{},

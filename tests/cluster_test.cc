@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "cluster/cluster.h"
 #include "cluster/disk_store.h"
 #include "cluster/hash_ring.h"
+#include "common/backoff.h"
 #include "common/json.h"
 #include "serve/client.h"
 #include "serve/plan_service.h"
@@ -417,6 +419,51 @@ PlanRequest RequestOwnedBy(const std::string& owner,
   return TinyRequest();
 }
 
+TEST(Cluster, PrePolicyDiskEntryIsAMissAndSearchesAgain) {
+  // A plan written before every configuration carried its residency table
+  // (empty "policy") no longer decodes: the node counts a disk miss and the
+  // service searches, never serving a table-less plan.
+  ScratchDir dir("prepolicy");
+  const PlanRequest request = TinyRequest();
+  const uint64_t fp = serve::RequestFingerprint(request);
+  auto disk = MustOpen(dir.path);
+  {
+    ClusterOptions copts;
+    copts.disk = disk.get();
+    ClusterNode node(copts);
+    ServeOptions sopts;
+    sopts.num_workers = 1;
+    sopts.fill = &node;
+    PlanService service(sopts);
+    node.set_service(&service);
+    ASSERT_TRUE(service.Plan(request).status.ok());
+  }
+  auto stored = disk->Get(fp);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  std::string old = stored.value();
+  const size_t at = old.find("\"policy\":\"");
+  ASSERT_NE(at, std::string::npos) << old;
+  const size_t start = at + std::string("\"policy\":\"").size();
+  old.erase(start, old.find('"', start) - start);
+  ASSERT_TRUE(disk->Put(fp, old).ok());
+
+  ClusterOptions copts;
+  copts.disk = disk.get();
+  ClusterNode node(copts);
+  ServeOptions sopts;
+  sopts.num_workers = 1;
+  sopts.fill = &node;
+  PlanService service(sopts);
+  node.set_service(&service);
+  const PlanResponse replanned = service.Plan(request);
+  ASSERT_TRUE(replanned.status.ok()) << replanned.status;
+  EXPECT_EQ(replanned.filled_from, "");
+  EXPECT_EQ(service.stats().searches, 1u);
+  EXPECT_EQ(node.stats().disk_misses, 1u);
+  EXPECT_EQ(replanned.config.policy.num_layers(),
+            replanned.config.bwd_packs.back().hi + 1);
+}
+
 TEST(Cluster, PeerFillResolvesAMissWithExactlyOneSearchAcrossTheTier) {
   const std::string owner_ep = "unix:" + SockPath("pf_owner");
   const std::string other_ep = "unix:" + SockPath("pf_other");
@@ -584,6 +631,48 @@ TEST(Cluster, TierClientReportsTheLastEndpointWhenAllMembersAreDown) {
       << response.status();
   EXPECT_NE(response.status().message().find("unix:"), std::string::npos)
       << response.status();
+}
+
+TEST(Cluster, TierClientStopsShedRetriesAtTheRequestDeadline) {
+  // A member whose admission budget is held by a stalled search sheds every
+  // plan request until the stall drains.
+  const std::string path = SockPath("tc_shed");
+  ServeOptions sopts;
+  sopts.num_workers = 1;
+  sopts.max_pending = 1;
+  sopts.retry_after_ms = 20;
+  sopts.stall_for_test = 0.6;
+  PlanService service(sopts);
+  ServerOptions options;
+  options.unix_path = path;
+  PlanServer server(&service, options);
+  ASSERT_TRUE(server.Listen().ok());
+  server.Start();
+  auto inflight = service.Submit(TinyRequest(4));
+
+  // The shed budget alone would outlast the stall (50 retries of >= 20ms),
+  // so only the deadline can end the call early.
+  TierClient::RetryOptions retry;
+  retry.max_shed_retries = 50;
+  retry.backoff = common::BackoffPolicy{/*initial=*/0.01, /*max_delay=*/0.02,
+                                        /*multiplier=*/1.0, /*jitter=*/0.0};
+  TierClient tier({"unix:" + path}, 64, retry);
+  PlanRequest bounded = TinyRequest(8);
+  bounded.deadline_ms = 100;
+  const auto start = std::chrono::steady_clock::now();
+  const auto response = tier.Plan(bounded);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response.value().status.code(), StatusCode::kResourceExhausted)
+      << response.value().status;
+  // No sleep crosses the deadline; the slack covers the last round trip.
+  EXPECT_LT(waited, 0.1 + 0.05);
+
+  inflight.wait();
+  server.Stop();
+  ::unlink(path.c_str());
 }
 
 // --- stats plumbing -------------------------------------------------------

@@ -24,6 +24,7 @@ struct Fixture {
     c.bwd_packs = BackwardPacks(u_bwd, db, opts).value();
     opts.min_packs = 4;
     c.fwd_packs = ForwardPacks(u_fwd, c.bwd_packs, db, opts).value();
+    c.policy = PolicyTable::Uniform(db.num_layers(), StashPolicy::kRecompute);
     return c;
   }
 
@@ -193,6 +194,7 @@ TEST(Estimator, GoldenSchedulesPinnedAcrossRewrite) {
     c.bwd_packs = BackwardPacks(1, f.db, opts).value();
     opts.min_packs = 2;
     c.fwd_packs = ForwardPacks(4, c.bwd_packs, f.db, opts).value();
+    c.policy = PolicyTable::Uniform(f.db.num_layers(), StashPolicy::kRecompute);
     return c;
   }();
   const TaskGraph graph = GenerateHarmonyTaskGraph(

@@ -131,10 +131,17 @@ TEST(CostModel, TransformerBlockTimeIsPlausible) {
   EXPECT_LT(t, 50e-3);
 }
 
+/// Footprint under one residency policy for every layer.
+MemoryFootprint Footprint(const SequentialModel& m, int minibatch,
+                          Optimizer opt, StashPolicy fill) {
+  return ComputeFootprint(m, minibatch, opt,
+                          PolicyTable::Uniform(m.num_layers(), fill));
+}
+
 TEST(Memory, FootprintBreakdownGpt2) {
   const SequentialModel m = Sequentialize(Gpt2());
   const MemoryFootprint f =
-      ComputeFootprint(m, /*minibatch=*/8, Optimizer::kAdam, /*recompute=*/false);
+      Footprint(m, /*minibatch=*/8, Optimizer::kAdam, StashPolicy::kKeep);
   // Weights ~5.8 GiB; gradients equal; Adam state 2x.
   EXPECT_NEAR(static_cast<double>(f.weights) / GiB(1), 5.8, 0.3);
   EXPECT_EQ(f.gradients, f.weights);
@@ -147,24 +154,24 @@ TEST(Memory, FootprintBreakdownGpt2) {
 
 TEST(Memory, RecomputeShrinksActivations) {
   const SequentialModel m = Sequentialize(Bert96());
-  const auto full = ComputeFootprint(m, 16, Optimizer::kAdam, false);
-  const auto ckpt = ComputeFootprint(m, 16, Optimizer::kAdam, true);
+  const auto full = Footprint(m, 16, Optimizer::kAdam, StashPolicy::kKeep);
+  const auto ckpt = Footprint(m, 16, Optimizer::kAdam, StashPolicy::kRecompute);
   EXPECT_LT(ckpt.activations, full.activations / 4);
   EXPECT_EQ(ckpt.weights, full.weights);
 }
 
 TEST(Memory, FootprintGrowsLinearlyWithBatch) {
   const SequentialModel m = Sequentialize(Gpt2());
-  const auto f8 = ComputeFootprint(m, 8, Optimizer::kAdam, false);
-  const auto f16 = ComputeFootprint(m, 16, Optimizer::kAdam, false);
+  const auto f8 = Footprint(m, 8, Optimizer::kAdam, StashPolicy::kKeep);
+  const auto f16 = Footprint(m, 16, Optimizer::kAdam, StashPolicy::kKeep);
   EXPECT_EQ(f16.activations, 2 * f8.activations);
   EXPECT_EQ(f16.weights, f8.weights);
 }
 
 TEST(Memory, SgdStateSmallerThanAdam) {
   const SequentialModel m = Sequentialize(Vgg416());
-  const auto adam = ComputeFootprint(m, 8, Optimizer::kAdam, false);
-  const auto sgd = ComputeFootprint(m, 8, Optimizer::kSgdMomentum, false);
+  const auto adam = Footprint(m, 8, Optimizer::kAdam, StashPolicy::kKeep);
+  const auto sgd = Footprint(m, 8, Optimizer::kSgdMomentum, StashPolicy::kKeep);
   EXPECT_EQ(sgd.optimizer_state * 2, adam.optimizer_state);
 }
 

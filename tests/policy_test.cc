@@ -1,7 +1,7 @@
 // Tests for the per-layer residency-policy axis (DESIGN.md §12): the
 // PolicyTable type itself, the per-layer cost accounting behind the greedy
-// dominance rule, the policy-aware memory footprint, estimator parity for
-// the two legacy-equivalent uniform tables, and the policy-mode search axis
+// dominance rule, the policy-aware memory footprint, the estimator's pricing
+// of each policy, and the policy-mode search axis
 // — including the hybrid-beats-uniform property on a long-sequence workload
 // (EXPERIMENTS.md "Residency policy").
 
@@ -32,20 +32,16 @@ using model::StashPolicy;
 // PolicyTable
 // ---------------------------------------------------------------------------
 
-TEST(PolicyTable, UniformAndLegacy) {
+TEST(PolicyTable, UniformAndEmpty) {
   const PolicyTable r = PolicyTable::Uniform(5, StashPolicy::kRecompute);
-  EXPECT_FALSE(r.empty());
   EXPECT_EQ(r.num_layers(), 5);
   EXPECT_TRUE(r.IsUniform(StashPolicy::kRecompute));
   EXPECT_EQ(r.Count(StashPolicy::kRecompute), 5);
   EXPECT_EQ(r.Count(StashPolicy::kKeep), 0);
+  EXPECT_NE(r, PolicyTable::Uniform(5, StashPolicy::kKeep));
 
-  EXPECT_EQ(PolicyTable::Legacy(5, /*use_recompute=*/true), r);
-  EXPECT_EQ(PolicyTable::Legacy(5, /*use_recompute=*/false),
-            PolicyTable::Uniform(5, StashPolicy::kKeep));
-
-  // The empty table is uniform in nothing: it means "defer to the flags".
-  EXPECT_TRUE(PolicyTable().empty());
+  // The empty table is uniform in nothing and fits no model.
+  EXPECT_EQ(PolicyTable().num_layers(), 0);
   EXPECT_FALSE(PolicyTable().IsUniform(StashPolicy::kKeep));
 }
 
@@ -73,7 +69,7 @@ TEST(PolicyTable, RleRoundTrip) {
   EXPECT_EQ(PolicyTable().ToString(), "");
   const auto empty = PolicyTable::FromString("");
   ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty.value().empty());
+  EXPECT_EQ(empty.value().num_layers(), 0);
 
   // Uniform tables collapse to a single run.
   EXPECT_EQ(PolicyTable::Uniform(96, StashPolicy::kRecompute).ToString(),
@@ -145,23 +141,18 @@ TEST(ResidencyCost, ScalesWithMicrobatchAndLink) {
 // Policy-aware memory footprint
 // ---------------------------------------------------------------------------
 
-TEST(Footprint, PolicyOverloadMatchesLegacyBools) {
+TEST(Footprint, MixedTableSitsBetweenUniformBounds) {
   const model::SequentialModel m =
       model::Sequentialize(model::TinyTransformer(8));
   const int R = m.num_layers();
   for (const int mb : {1, 8}) {
-    const auto legacy_r =
-        model::ComputeFootprint(m, mb, model::Optimizer::kAdam, true);
     const auto table_r = model::ComputeFootprint(
-        m, mb, model::Optimizer::kAdam, PolicyTable::Legacy(R, true));
-    EXPECT_EQ(legacy_r.activations, table_r.activations);
-    EXPECT_EQ(legacy_r.total(), table_r.total());
-
-    const auto legacy_k =
-        model::ComputeFootprint(m, mb, model::Optimizer::kAdam, false);
+        m, mb, model::Optimizer::kAdam,
+        PolicyTable::Uniform(R, StashPolicy::kRecompute));
     const auto table_k = model::ComputeFootprint(
-        m, mb, model::Optimizer::kAdam, PolicyTable::Legacy(R, false));
-    EXPECT_EQ(legacy_k.activations, table_k.activations);
+        m, mb, model::Optimizer::kAdam,
+        PolicyTable::Uniform(R, StashPolicy::kKeep));
+    EXPECT_EQ(table_r.weights, table_k.weights);
 
     // A mixed table sits strictly between the two uniform bounds whenever
     // keep and recompute actually differ.
@@ -171,7 +162,7 @@ TEST(Footprint, PolicyOverloadMatchesLegacyBools) {
         model::ComputeFootprint(m, mb, model::Optimizer::kAdam, mixed);
     EXPECT_GE(mid.activations, table_r.activations);
     EXPECT_LE(mid.activations, table_k.activations);
-    if (legacy_k.activations > legacy_r.activations) {
+    if (table_k.activations > table_r.activations) {
       EXPECT_GT(mid.activations, table_r.activations);
       EXPECT_LT(mid.activations, table_k.activations);
     }
@@ -179,7 +170,7 @@ TEST(Footprint, PolicyOverloadMatchesLegacyBools) {
 }
 
 // ---------------------------------------------------------------------------
-// Estimator parity + policy pricing
+// Estimator: policy pricing
 // ---------------------------------------------------------------------------
 
 struct EstimateSetup {
@@ -209,26 +200,6 @@ struct EstimateSetup {
     return core::RuntimeEstimator(db, machine).EstimateIteration(g);
   }
 };
-
-TEST(EstimatorPolicy, UniformTablesMatchLegacyBitForBit) {
-  const EstimateSetup s;
-  const int R = s.db.num_layers();
-
-  const core::Estimate legacy_r = s.Estimate(OptimizationFlags{}, {});
-  const core::Estimate table_r =
-      s.Estimate(OptimizationFlags{}, PolicyTable::Legacy(R, true));
-  EXPECT_EQ(legacy_r.iteration_time, table_r.iteration_time);
-  EXPECT_EQ(legacy_r.swap_bytes, table_r.swap_bytes);
-  EXPECT_EQ(legacy_r.p2p_bytes, table_r.p2p_bytes);
-
-  OptimizationFlags keep_flags;
-  keep_flags.use_recompute = false;
-  const core::Estimate legacy_k = s.Estimate(keep_flags, {});
-  const core::Estimate table_k =
-      s.Estimate(keep_flags, PolicyTable::Legacy(R, false));
-  EXPECT_EQ(legacy_k.iteration_time, table_k.iteration_time);
-  EXPECT_EQ(legacy_k.swap_bytes, table_k.swap_bytes);
-}
 
 TEST(EstimatorPolicy, SwapChargesTrafficKeepDoesNot) {
   const EstimateSetup s;
@@ -260,12 +231,14 @@ TEST(EstimatorPolicy, RecomputeTradesTrafficForCompute) {
 
 TEST(PolicyMode, NamesRoundTrip) {
   for (const PolicyMode mode :
-       {PolicyMode::kLegacy, PolicyMode::kRecomputeAll, PolicyMode::kKeepAll,
-        PolicyMode::kSwapAll, PolicyMode::kHybridGreedy, PolicyMode::kSweep}) {
+       {PolicyMode::kLegacy, PolicyMode::kRecomputeAll, PolicyMode::kSwapAll,
+        PolicyMode::kHybridGreedy, PolicyMode::kSweep}) {
     const auto back = core::PolicyModeFromName(core::PolicyModeName(mode));
     ASSERT_TRUE(back.ok()) << back.status();
     EXPECT_EQ(back.value(), mode);
   }
+  // Keep-everything is a table (Uniform(R, kKeep)), not a search mode.
+  EXPECT_FALSE(core::PolicyModeFromName("keep").ok());
   EXPECT_FALSE(core::PolicyModeFromName("checkpoint").ok());
   EXPECT_FALSE(core::PolicyModeFromName("").ok());
 }
@@ -295,15 +268,18 @@ TEST(SearchPolicy, LegacyAndRecomputeAllAgreeOnTheWinner) {
   const SearchSetup s(model::TinyTransformer(16, 512, 128));
   const core::SearchResult legacy = s.Search(PolicyMode::kLegacy);
   const core::SearchResult remat = s.Search(PolicyMode::kRecomputeAll);
-  // Same plan and same estimate: all-recompute is what legacy lowers to.
+  // Same plan, table, counts and estimate: legacy plans as all-recompute.
   EXPECT_EQ(legacy.best.u_fwd, remat.best.u_fwd);
   EXPECT_EQ(legacy.best.u_bwd, remat.best.u_bwd);
+  EXPECT_EQ(legacy.best.fwd_packs, remat.best.fwd_packs);
+  EXPECT_EQ(legacy.best.bwd_packs, remat.best.bwd_packs);
+  EXPECT_EQ(legacy.best.policy, remat.best.policy);
+  EXPECT_TRUE(legacy.best.policy.IsUniform(StashPolicy::kRecompute));
+  EXPECT_EQ(legacy.best.policy.num_layers(), s.db.num_layers());
   EXPECT_EQ(legacy.best_estimate.iteration_time,
             remat.best_estimate.iteration_time);
   EXPECT_EQ(legacy.configs_explored, remat.configs_explored);
-  // But the explicit mode records its table on the winner.
-  EXPECT_TRUE(legacy.best.policy.empty());
-  EXPECT_TRUE(remat.best.policy.IsUniform(StashPolicy::kRecompute));
+  EXPECT_EQ(legacy.configs_feasible, remat.configs_feasible);
 }
 
 TEST(SearchPolicy, SweepTriplesTheExploredSpace) {
@@ -341,7 +317,7 @@ TEST(SearchPolicy, HybridBeatsBothUniformPoliciesOnLongSequences) {
   EXPECT_LT(sweep.best_estimate.iteration_time,
             remat_only.best_estimate.iteration_time);
   // And the winner really is mixed, not one of the uniforms in disguise.
-  EXPECT_FALSE(sweep.best.policy.empty());
+  EXPECT_EQ(sweep.best.policy.num_layers(), s.db.num_layers());
   EXPECT_FALSE(sweep.best.policy.IsUniform(StashPolicy::kRecompute));
   EXPECT_FALSE(sweep.best.policy.IsUniform(StashPolicy::kSwap));
   EXPECT_FALSE(sweep.best.policy.IsUniform(StashPolicy::kKeep));

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
 #include "core/estimator.h"
 #include "core/packing.h"
 #include "core/scheduler.h"
@@ -7,6 +11,7 @@
 #include "profile/profiler.h"
 #include "runtime/memory_manager.h"
 #include "runtime/runtime.h"
+#include "trace/filter_sink.h"
 
 namespace harmony::runtime {
 namespace {
@@ -91,6 +96,8 @@ struct Fixture {
     c.bwd_packs = core::BackwardPacks(u_bwd, *db, opts).value();
     opts.min_packs = fwd_min_packs;
     c.fwd_packs = core::ForwardPacks(u_fwd, c.bwd_packs, *db, opts).value();
+    c.policy = core::PolicyTable::Uniform(db->num_layers(),
+                                          core::StashPolicy::kRecompute);
     return c;
   }
 
@@ -278,6 +285,38 @@ TEST(Runtime, DeterministicAcrossRuns) {
   const auto b = f.Run(g);
   EXPECT_DOUBLE_EQ(a.iteration_time, b.iteration_time);
   EXPECT_EQ(a.total_swap(), b.total_swap());
+}
+
+TEST(Runtime, FilterSinkInTraceSinksFollowsOneTensor) {
+  // Per-tensor tracing is opt-in through RuntimeOptions::trace_sinks (as
+  // harmony_plan --trace-tensor wires it); the runtime reads no environment.
+  const Fixture f;
+  const TaskGraph g = core::GenerateHarmonyTaskGraph(
+      f.Config(2, 2), HarmonyMode::kPipelineParallel, 4, 8,
+      OptimizationFlags{}, *f.db);
+  FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  trace::FilterSink weight("W[L0,o0]", out);
+  trace::FilterSink absent("W[L9999,o0]", out);
+  RuntimeOptions options;
+  options.trace_sinks = {&weight, &absent};
+  const auto run = Runtime(f.machine, f.model).Execute(g, options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_GT(weight.matches(), 1);  // fetched, used and released at least
+  EXPECT_EQ(absent.matches(), 0);
+
+  std::rewind(out);
+  std::string printed;
+  for (int c = std::fgetc(out); c != EOF; c = std::fgetc(out)) {
+    printed.push_back(static_cast<char>(c));
+  }
+  std::fclose(out);
+  EXPECT_EQ(static_cast<int64_t>(
+                std::count(printed.begin(), printed.end(), '\n')),
+            weight.matches());
+  EXPECT_NE(printed.find("[runtime-trace] W[L0,o0] "), std::string::npos)
+      << printed;
+  EXPECT_EQ(printed.find("L9999"), std::string::npos);
 }
 
 // Property sweep: the runtime must complete (no deadlock, no stall) for all

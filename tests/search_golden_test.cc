@@ -79,7 +79,7 @@ constexpr HarmonyMode kDP = HarmonyMode::kDataParallel;
 
 const Golden kGoldens[] = {
     {"BERT-Large", kPP, 32, PolicyMode::kLegacy, 4, 0.85,
-     4, 2, 8, 4, 0xdfe46d667f2f7986ull, "", 2.947945741868605, 3983597584, 738197504},
+     4, 2, 8, 4, 0xdfe46d667f2f7986ull, "r0-27", 2.947945741868605, 3983597584, 738197504},
     {"BERT96", kDP, 64, PolicyMode::kRecomputeAll, 6, 0.80,
      6, 4, 1, 3, 0x0d2cda317d8414dbull, "r0-99", 19.200512449773512, 53421604928, 0},
     {"GPT2", kPP, 64, PolicyMode::kSwapAll, 8, 0.87,
@@ -89,7 +89,7 @@ const Golden kGoldens[] = {
     {"VGG416", kPP, 16, PolicyMode::kSweep, 6, 0.90,
      4, 4, 4, 4, 0x3be815b5727ad3f6ull, "r0-82,s83-162,r163,s164-286,r287,s288-410,r411,k412,s413-416", 9.4931633251339846, 19325002816, 385351680},
     {"ResNet1K", kDP, 64, PolicyMode::kLegacy, 8, 0.8123,
-     8, 8, 1, 2, 0x401b733b0d629f0cull, "", 3.1360609549385705, 18451946752, 0},
+     8, 8, 1, 2, 0x401b733b0d629f0cull, "r0-1029", 3.1360609549385705, 18451946752, 0},
     {"GPT2-2.50B", kPP, 32, PolicyMode::kHybridGreedy, 6, 0.86,
      6, 6, 16, 12, 0xb2ae2c726c1ab5eeull, "s0,r1-49,s50,r51", 48.298699649966039, 37255105792, 7474249728},
     {"GPT2-5.25B", kDP, 16, PolicyMode::kRecomputeAll, 4, 0.89,
@@ -97,7 +97,7 @@ const Golden kGoldens[] = {
     {"BERT96", kPP, 16, PolicyMode::kSweep, 4, 0.84,
      4, 1, 4, 4, 0x13b91dc582539b70ull, "s0,r1-96,s97-99", 6.7665313189266705, 13825654800, 234881024},
     {"GPT2", kDP, 32, PolicyMode::kLegacy, 6, 0.88,
-     4, 4, 1, 6, 0x757ea51e4a0233b7ull, "", 25.982456283296642, 73491891200, 0},
+     4, 4, 1, 6, 0x757ea51e4a0233b7ull, "r0-51", 25.982456283296642, 73491891200, 0},
     {"GPT2-3.75B", kPP, 64, PolicyMode::kSwapAll, 8, 0.81,
      8, 8, 16, 25, 0xa9cd05bd3ec87367ull, "s0-51", 146.22240546497972, 1721930815488, 26843545600},
     {"ResNet1K", kPP, 32, PolicyMode::kHybridGreedy, 4, 0.85,

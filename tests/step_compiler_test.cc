@@ -44,6 +44,8 @@ Compiled CompileModel(const model::LayerGraph& lg, HarmonyMode mode,
   c.bwd_packs = core::BackwardPacks(4, db, opts).value();
   opts.min_packs = 4;
   c.fwd_packs = core::ForwardPacks(4, c.bwd_packs, db, opts).value();
+  c.policy = core::PolicyTable::Uniform(db.num_layers(),
+                                        core::StashPolicy::kRecompute);
   Compiled out{core::GenerateHarmonyTaskGraph(c, mode, 4, minibatch,
                                               OptimizationFlags{}, db),
                {}};

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 
@@ -172,25 +173,74 @@ TEST(Wire, SearchOptionsAndFlagsRoundTrip) {
   EXPECT_EQ(legacy.value().policy_mode, core::PolicyMode::kLegacy);
   core::OptimizationFlags flags;
   flags.jit_compute = false;
-  flags.use_recompute = true;
   ExpectRoundTrip(flags, serve::OptimizationFlagsToJson,
                   serve::OptimizationFlagsFromJson);
+  // The former residency flag is always written true; a peer asking for
+  // false (the removed keep-everything knob) is refused, not ignored.
+  std::string text = serve::OptimizationFlagsToJson(flags).Dump();
+  const std::string written = "\"use_recompute\":true";
+  const size_t at = text.find(written);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, written.size(), "\"use_recompute\":false");
+  const auto refused = serve::OptimizationFlagsFromJson(json::Parse(text).value());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  // The removed keep-all search mode is refused by name as well.
+  EXPECT_EQ(core::PolicyModeFromName("keep").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Wire, ConfigurationRoundTrips) {
   core::Configuration config;
   config.u_fwd = 4;
   config.u_bwd = 2;
-  config.fwd_packs = {{0, 9}, {10, 18}, {19, 27}};
+  config.fwd_packs = {{0, 6}, {7, 13}};
   config.bwd_packs = {{0, 13}, {14, 27}};
+  config.policy = model::PolicyTable::Uniform(28, model::StashPolicy::kRecompute);
   ExpectRoundTrip(config, serve::ConfigurationToJson,
                   serve::ConfigurationFromJson);
-  // Non-empty residency table rides along (RLE form).
-  config.policy = model::PolicyTable::Uniform(28, model::StashPolicy::kRecompute);
+  // A mixed residency table rides along (RLE form).
   config.policy.Set(5, model::StashPolicy::kSwap);
   config.policy.Set(6, model::StashPolicy::kKeep);
   ExpectRoundTrip(config, serve::ConfigurationToJson,
                   serve::ConfigurationFromJson);
+}
+
+TEST(Wire, ConfigurationPolicyMustCoverTheBackwardPacks) {
+  core::Configuration config;
+  config.u_fwd = config.u_bwd = 2;
+  config.fwd_packs = {{0, 13}};
+  config.bwd_packs = {{0, 13}, {14, 27}};
+  config.policy = model::PolicyTable::Uniform(28, model::StashPolicy::kRecompute);
+  ASSERT_TRUE(serve::ConfigurationFromJson(serve::ConfigurationToJson(config)).ok());
+  auto decode = [](const core::Configuration& c) {
+    return serve::ConfigurationFromJson(serve::ConfigurationToJson(c)).status();
+  };
+  // Empty (a pre-policy peer or disk file), short and long tables all fail.
+  for (const int layers : {0, 27, 29}) {
+    core::Configuration bad = config;
+    bad.policy = layers == 0 ? model::PolicyTable()
+                             : model::PolicyTable::Uniform(
+                                   layers, model::StashPolicy::kRecompute);
+    EXPECT_EQ(decode(bad).code(), StatusCode::kInvalidArgument) << layers;
+  }
+  // So does a missing "policy" key.
+  const json::Value full = serve::ConfigurationToJson(config);
+  json::Value absent = json::Value::Object();
+  for (const char* key : {"u_fwd", "u_bwd", "fwd_packs", "bwd_packs"}) {
+    absent.Set(key, *full.Find(key));
+  }
+  EXPECT_EQ(serve::ConfigurationFromJson(absent).status().code(),
+            StatusCode::kInvalidArgument);
+  // Backward packs with a gap, or running past the table (up to INT_MAX,
+  // where a naive end-of-pack computation would overflow), fail too.
+  for (const core::PackList& packs :
+       {core::PackList{{0, 13}, {15, 27}}, core::PackList{{0, 13}, {14, 28}},
+        core::PackList{{0, 13}, {14, std::numeric_limits<int>::max()}}}) {
+    core::Configuration bad = config;
+    bad.bwd_packs = packs;
+    EXPECT_EQ(decode(bad).code(), StatusCode::kInvalidArgument)
+        << core::PackListToString(packs);
+  }
 }
 
 TEST(Wire, PlanRequestRoundTrips) {
@@ -211,7 +261,8 @@ TEST(Wire, PlanResponseRoundTrips) {
   ok.config.u_fwd = 2;
   ok.config.u_bwd = 1;
   ok.config.fwd_packs = {{0, 9}, {10, 18}};
-  ok.config.bwd_packs = {{0, 18}};
+  ok.config.bwd_packs = {{0, 18}, {19, 27}};
+  ok.config.policy = model::PolicyTable::Uniform(28, model::StashPolicy::kRecompute);
   ok.estimate.iteration_time = 4.3;
   ok.estimate.swap_bytes = GiB(12);
   ok.configs_explored = 512;
@@ -382,17 +433,18 @@ TEST(Fingerprint, SearchOptionsAudit) {
     EXPECT_NE(serve::RequestFingerprint(r), base) << "equi_fb";
   }
   // The residency-policy axis picks a different winner, so it must key the
-  // cache; every mode maps to a distinct fingerprint.
+  // cache; every mode maps to a distinct fingerprint (legacy and recompute
+  // plan alike but keep their own wire names, so their prints differ too).
   std::set<uint64_t> policy_prints;
   for (const core::PolicyMode mode :
        {core::PolicyMode::kLegacy, core::PolicyMode::kRecomputeAll,
-        core::PolicyMode::kKeepAll, core::PolicyMode::kSwapAll,
-        core::PolicyMode::kHybridGreedy, core::PolicyMode::kSweep}) {
+        core::PolicyMode::kSwapAll, core::PolicyMode::kHybridGreedy,
+        core::PolicyMode::kSweep}) {
     PlanRequest r = Bert96Request();
     r.options.policy_mode = mode;
     policy_prints.insert(serve::RequestFingerprint(r));
   }
-  EXPECT_EQ(policy_prints.size(), 6u);
+  EXPECT_EQ(policy_prints.size(), 5u);
   EXPECT_EQ(policy_prints.count(base), 1u);  // kLegacy == the default request
 
   // Execution-shape knobs: bit-identical results by contract, so they must
