@@ -27,7 +27,7 @@ PlacementMap PersistentPlacements(const runtime::StepProgram& program) {
   PlacementMap out;
   for (size_t d = 0; d < program.steps.size(); ++d) {
     for (const runtime::Step& s : program.steps[d]) {
-      for (const runtime::NeedSpec& n : s.needs) {
+      for (const runtime::NeedSpec& n : program.needs(s)) {
         const runtime::TensorKey& key = program.tensors.key(n.id);
         if (key.kind != runtime::TensorKind::kWeight &&
             key.kind != runtime::TensorKind::kOptState) {

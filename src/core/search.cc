@@ -62,13 +62,14 @@ struct GridPoint {
 };
 
 struct EvalOutcome {
-  /// Number of (candidate, policy-table) pairs that were feasible; `config`
-  /// and `estimate` describe the best of them (lowest time, then lowest
-  /// table index — a deterministic within-candidate tie-break). The merge
-  /// fills `config.policy` from `best_table`; outcomes hold no R-entry copy.
+  /// Number of (candidate, policy-table) pairs that were feasible;
+  /// `best_table` and `estimate` describe the best of them (lowest time,
+  /// then lowest table index — a deterministic within-candidate tie-break).
+  /// Outcomes hold no pack lists and no R-entry table: the merge rebuilds
+  /// the configuration of the winner (and, with keep_explored, of every
+  /// explored point) from its grid point.
   int feasible_count = 0;
   int best_table = 0;
-  Configuration config;
   Estimate estimate;
 };
 
@@ -296,30 +297,37 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   // from here on; the forward-pack memo is the only shared mutable state.
   // Each worker times its phases into its own `phases`.
   FwdPackMemo fwd_memo;
-  auto evaluate = [&](const GridPoint& pt, EstimatorScratch& scratch,
-                      SearchPhaseSeconds& phases) -> EvalOutcome {
-    EvalOutcome out;
+  // A grid point's configuration, policy aside: its group's backward packs
+  // and the memoized forward packs. False when forward packing fails. The
+  // merge calls this again for the points it keeps, hitting the memo.
+  auto build_config = [&](const GridPoint& pt, Configuration* config,
+                          double* fwd_packing_seconds) -> bool {
     const PackList& bwd = bwd_groups[pt.bwd_group];
-    Configuration config;
-    config.u_bwd = pt.u_bwd;
-    config.bwd_packs = bwd;
-
+    config->u_bwd = pt.u_bwd;
+    config->bwd_packs = bwd;
     if (options.equi_fb) {
       // Equi-FB (Table 4): reuse the backward packs and microbatch size
       // for the forward pass (dropping the fused last pack).
-      config.u_fwd = pt.u_bwd;
-      config.fwd_packs.assign(bwd.begin(), bwd.end() - 1);
-    } else {
-      config.u_fwd = pt.u_fwd;
-      const int fwd_layers = bwd.back().lo;
-      PackingOptions fwd_packing = packing;
-      fwd_packing.min_packs = std::min(pt.fwd_floor, fwd_layers);
-      const Result<PackList>& fwd = fwd_memo.Get(
-          {pt.u_fwd, fwd_packing.min_packs, fwd_layers}, pt.u_fwd, bwd,
-          profiles, fwd_packing, &phases.fwd_packing);
-      if (!fwd.ok()) return out;
-      config.fwd_packs = fwd.value();
+      config->u_fwd = pt.u_bwd;
+      config->fwd_packs.assign(bwd.begin(), bwd.end() - 1);
+      return true;
     }
+    config->u_fwd = pt.u_fwd;
+    const int fwd_layers = bwd.back().lo;
+    PackingOptions fwd_packing = packing;
+    fwd_packing.min_packs = std::min(pt.fwd_floor, fwd_layers);
+    const Result<PackList>& fwd = fwd_memo.Get(
+        {pt.u_fwd, fwd_packing.min_packs, fwd_layers}, pt.u_fwd, bwd,
+        profiles, fwd_packing, fwd_packing_seconds);
+    if (!fwd.ok()) return false;
+    config->fwd_packs = fwd.value();
+    return true;
+  };
+  auto evaluate = [&](const GridPoint& pt, EstimatorScratch& scratch,
+                      SearchPhaseSeconds& phases) -> EvalOutcome {
+    EvalOutcome out;
+    Configuration config;
+    if (!build_config(pt, &config, &phases.fwd_packing)) return out;
 
     // Policy axis: evaluate each candidate table on this four-tuple and keep
     // the best (lowest time, then lowest table index). An all-recompute
@@ -342,10 +350,8 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
           est.iteration_time < out.estimate.iteration_time) {
         out.estimate = est;
         out.best_table = ti;
-        out.config = config;
       }
     }
-    out.config.policy = PolicyTable();
     return out;
   };
 
@@ -386,8 +392,18 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
   const Clock::time_point merge_start = Clock::now();
   double best_time = -1.0;
   std::tuple<int, int, int, int, int> best_key;
+  size_t best_point = 0;
+  // Every point with a feasible table built its configuration once, so each
+  // rebuild below is a memo hit.
+  auto rebuild = [&](size_t i) {
+    Configuration config;
+    double unused_seconds = 0;
+    HARMONY_CHECK(build_config(points[i], &config, &unused_seconds));
+    config.policy = tables_by_ubwd[points[i].u_bwd][outcomes[i].best_table];
+    return config;
+  };
   for (size_t i = 0; i < points.size(); ++i) {
-    EvalOutcome& out = outcomes[i];
+    const EvalOutcome& out = outcomes[i];
     if (out.feasible_count == 0) continue;
     result.configs_feasible += out.feasible_count;
     const auto key =
@@ -395,20 +411,17 @@ Result<SearchResult> SearchConfiguration(const profile::ProfileDb& profiles,
     const bool better =
         best_time < 0 || out.estimate.iteration_time < best_time ||
         (out.estimate.iteration_time == best_time && key < best_key);
-    const PolicyTable& table = tables_by_ubwd[points[i].u_bwd][out.best_table];
     if (better) {
       best_time = out.estimate.iteration_time;
       best_key = key;
-      result.best = out.config;
-      result.best.policy = table;
+      best_point = i;
       result.best_estimate = out.estimate;
     }
     if (options.keep_explored) {
-      out.config.policy = table;
-      result.explored.push_back(
-          ExploredConfig{std::move(out.config), out.estimate});
+      result.explored.push_back(ExploredConfig{rebuild(i), out.estimate});
     }
   }
+  if (best_time >= 0) result.best = rebuild(best_point);
 
   result.phase_seconds.merge = SecondsSince(merge_start);
   result.search_wall_seconds = SecondsSince(wall_start);

@@ -1,6 +1,8 @@
 #include "model/policy.h"
 
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "common/logging.h"
 
@@ -80,27 +82,40 @@ Result<PolicyTable> PolicyTable::FromString(const std::string& s) {
                                        s.substr(pos) + "'");
     }
     ++pos;
+    // A layer index: decimal digits that fit an int (from_chars rejects
+    // overflow instead of throwing).
     auto parse_int = [&](int* out) -> bool {
-      size_t start = pos;
-      while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') ++pos;
-      if (pos == start) return false;
-      *out = std::stoi(s.substr(start, pos - start));
+      const char* first = s.data() + pos;
+      const char* last = s.data() + s.size();
+      if (first == last || *first < '0' || *first > '9') return false;
+      const auto [end, ec] = std::from_chars(first, last, *out);
+      if (ec != std::errc()) return false;
+      pos += static_cast<size_t>(end - first);
       return true;
     };
     int lo = 0, hi = 0;
     if (!parse_int(&lo)) {
-      return Status::InvalidArgument("policy table: missing layer index");
+      return Status::InvalidArgument("policy table: missing or out-of-range "
+                                     "layer index");
     }
     hi = lo;
     if (pos < s.size() && s[pos] == '-') {
       ++pos;
       if (!parse_int(&hi)) {
-        return Status::InvalidArgument("policy table: missing range end");
+        return Status::InvalidArgument("policy table: missing or out-of-range "
+                                       "range end");
       }
     }
     if (lo != expected_lo || hi < lo) {
       return Status::InvalidArgument(
           "policy table: runs must be contiguous from layer 0");
+    }
+    // Bounded before anything is allocated: runs are contiguous from 0, so
+    // this caps the whole table.
+    if (hi >= kMaxLayers) {
+      return Status::InvalidArgument(
+          "policy table: layer " + std::to_string(hi) + " exceeds the " +
+          std::to_string(kMaxLayers) + "-layer limit");
     }
     for (int l = lo; l <= hi; ++l) t.entries_.push_back(p);
     expected_lo = hi + 1;

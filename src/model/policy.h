@@ -54,7 +54,14 @@ class PolicyTable {
 
   /// Run-length rendering, e.g. "k0-3,s4,r5-95"; "" for the empty table.
   std::string ToString() const;
+  /// Longest table FromString accepts: far above any model in the zoo
+  /// (ResNet1K has 1030 layers), small enough that hostile input cannot
+  /// make the parser allocate much.
+  static constexpr int kMaxLayers = 1 << 16;
+
   /// Parses ToString output (round-trip exact). "" yields the empty table.
+  /// Malformed input, an index that overflows int, or a table longer than
+  /// kMaxLayers yields InvalidArgument.
   static Result<PolicyTable> FromString(const std::string& s);
 
  private:

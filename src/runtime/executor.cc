@@ -1,8 +1,8 @@
 #include "runtime/executor.h"
 
-#include <memory>
-
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -130,33 +130,45 @@ void Executor::TryIssue(int d) {
   IssueStep(d, idx);
 }
 
+Executor::Join* Executor::NewJoin(int d, int units) {
+  Join* join = free_joins_;
+  if (join != nullptr) {
+    free_joins_ = join->next_free;
+    join->ready.Reset();
+  } else {
+    join = &joins_.emplace_back();
+    join->executor = this;
+  }
+  join->device = d;
+  join->commits_left = units;
+  join->arrivals_left = units;
+  return join;
+}
+
+void Executor::Join::Committed() {
+  if (--commits_left == 0) {
+    executor->issue_busy_[device] = false;
+    executor->TryIssue(device);
+  }
+}
+
+void Executor::Join::Arrived() {
+  // Every unit commits before it arrives, so the last arrival is also the
+  // join's last use.
+  if (--arrivals_left == 0) {
+    ready.Fire();
+    next_free = executor->free_joins_;
+    executor->free_joins_ = this;
+  }
+}
+
 void Executor::IssueStep(int d, int step_idx) {
-  Step& s = program_.steps[d][step_idx];
-  sim::Condition* ready = &conditions_.emplace_back();
-
-  // Join counters across needs + produces.
-  struct Join {
-    int commits_left;
-    int arrivals_left;
-  };
-  // Shared ownership so a wedged schedule (arrivals that never happen)
-  // releases the join with the waiter closures at teardown instead of
-  // leaking it.
-  auto join = std::make_shared<Join>(Join{0, 0});
-  join->commits_left = static_cast<int>(s.needs.size() + s.produces.size()) + 1;
-  join->arrivals_left = join->commits_left;
-
-  // Materialized as std::function once per step: EnsureResident takes these
-  // by const reference, so the per-need fast path performs no copies.
-  const std::function<void()> committed = [this, d, join]() {
-    if (--join->commits_left == 0) {
-      issue_busy_[d] = false;
-      TryIssue(d);
-    }
-  };
-  const std::function<void()> arrived = [join, ready]() {
-    if (--join->arrivals_left == 0) ready->Fire();
-  };
+  const Step& s = program_.steps[d][step_idx];
+  const std::span<const NeedSpec> needs = program_.needs(s);
+  const std::span<const ProduceSpec> produces = program_.produces(s);
+  // The +1 is a sentinel unit, resolved last (handles empty lists).
+  Join* join =
+      NewJoin(d, static_cast<int>(needs.size() + produces.size()) + 1);
 
   // Push the compute op first: the sentinel commit below can re-enter
   // TryIssue and push the next step's op, and the compute stream must stay
@@ -166,40 +178,38 @@ void Executor::IssueStep(int d, int step_idx) {
     label = "t" + std::to_string(s.task) + " step" + std::to_string(step_idx);
   }
   compute_[d]
-      ->PushTimed({ready}, std::move(label), s.task,
-                  program_.steps[d][step_idx].compute)
+      ->PushTimed(&join->ready, std::move(label), s.task, s.compute)
       ->OnFire([this, d, step_idx]() { FinishStep(d, step_idx); });
 
-  for (const NeedSpec& n : s.needs) {
-    residency_->EnsureResident(d, n.id, n.bytes, n.from_host, committed,
-                               arrived);
+  for (const NeedSpec& n : needs) residency_->EnsureResident(d, n, join);
+  for (const ProduceSpec& p : produces) {
+    residency_->AllocForProduce(d, p, join);
   }
-  for (const ProduceSpec& p : s.produces) {
-    residency_->AllocForProduce(d, p, [committed, arrived]() {
-      committed();
-      arrived();
-    });
-  }
-  // The +1 sentinel resolves immediately (handles empty lists).
-  committed();
-  arrived();
+  join->Committed();
+  join->Arrived();
 }
 
 void Executor::FinishStep(int d, int step_idx) {
-  Step& s = program_.steps[d][step_idx];
+  const Step& s = program_.steps[d][step_idx];
 
   // 1. Unpin this step's tensors.
-  for (const NeedSpec& n : s.needs) residency_->UnpinNeed(d, n.id);
+  for (const NeedSpec& n : program_.needs(s)) residency_->UnpinNeed(d, n.id);
   // 2. Finalize produced tensors.
-  for (const ProduceSpec& p : s.produces) residency_->FinalizeProduce(d, p);
+  for (const ProduceSpec& p : program_.produces(s)) {
+    residency_->FinalizeProduce(d, p);
+  }
   // 3. Dirty marks (gradient accumulation, updated weights).
-  for (const TensorId k : s.mark_dirty) residency_->MarkDirty(k);
+  for (const TensorId k : program_.mark_dirty(s)) residency_->MarkDirty(k);
   // 4. Host copies (checkpoints, master weight write-back).
-  for (const TensorId k : s.copy_to_host) residency_->CopyToHost(d, k);
+  for (const TensorId k : program_.copy_to_host(s)) {
+    residency_->CopyToHost(d, k);
+  }
   // 5. Moves to host (gradient push, optimizer state write-back).
-  for (const TensorId k : s.move_to_host) residency_->MoveToHost(d, k);
+  for (const TensorId k : program_.move_to_host(s)) {
+    residency_->MoveToHost(d, k);
+  }
   // 6. Dereference consumed inputs.
-  for (const TensorId k : s.derefs) residency_->Deref(k);
+  for (const TensorId k : program_.derefs(s)) residency_->Deref(k);
 
   ++steps_done_[d];
   OnTaskStepDone(s.task);
@@ -239,7 +249,7 @@ void Executor::AdvanceCpu(int d) {
     label = "t" + std::to_string(s.task) + " cpu-update";
   }
   cpu_[d]
-      ->PushTimed({}, std::move(label), s.task,
+      ->PushTimed(nullptr, std::move(label), s.task,
                   program_.cpu_steps[d][cpu_next_[d]].duration)
       ->OnFire([this, d]() {
         CpuStep& step = program_.cpu_steps[d][cpu_next_[d]];

@@ -39,6 +39,24 @@ class Executor {
   Result<RunMetrics> Run();
 
  private:
+  /// One issued step's join: counts the commits and arrivals its needs and
+  /// produces report (plus one sentinel each). The last commit frees the
+  /// device's issue slot; the last arrival fires `ready`, which releases the
+  /// step's compute op. Recycled once `ready` has fired, so the pool holds
+  /// only the steps whose inputs are still in flight.
+  struct Join final : StepJoin {
+    void Committed() override;
+    void Arrived() override;
+
+    Executor* executor = nullptr;
+    int device = 0;
+    int commits_left = 0;
+    int arrivals_left = 0;
+    sim::Condition ready;
+    Join* next_free = nullptr;
+  };
+
+  Join* NewJoin(int d, int units);
   void Fail(Status status);
   void TryIssue(int d);
   void IssueStep(int d, int step_idx);
@@ -76,9 +94,9 @@ class Executor {
   std::vector<std::unique_ptr<sim::Stream>> compute_, swapin_, swapout_,
       p2pin_, cpu_;
   std::unique_ptr<Residency> residency_;
-  // Deque for pointer stability; direct storage — one allocation per deque
-  // block, not per step.
-  std::deque<sim::Condition> conditions_;
+  // Deque for pointer stability: residency records hold Join pointers.
+  std::deque<Join> joins_;
+  Join* free_joins_ = nullptr;
 
   // Driving state.
   std::vector<size_t> issue_next_, steps_done_;

@@ -80,22 +80,22 @@ void DeviceMemory::Unpin(TensorId id) {
   --e.pins;
 }
 
-std::vector<TensorId> DeviceMemory::PickVictims(Bytes needed) const {
-  std::vector<std::pair<int64_t, TensorId>> candidates;
+void DeviceMemory::PickVictims(Bytes needed,
+                               std::vector<TensorId>* victims) const {
+  candidates_.clear();
   for (TensorId id : resident_list_) {
-    if (entries_[id].pins == 0) candidates.emplace_back(entries_[id].lru, id);
+    if (entries_[id].pins == 0) candidates_.emplace_back(entries_[id].lru, id);
   }
   // The lru clock is a unique monotone counter, so this order is
   // deterministic regardless of resident_list_'s (arbitrary) order.
-  std::sort(candidates.begin(), candidates.end());
-  std::vector<TensorId> victims;
+  std::sort(candidates_.begin(), candidates_.end());
+  victims->clear();
   Bytes reclaimed = 0;
-  for (const auto& [lru, id] : candidates) {
+  for (const auto& [lru, id] : candidates_) {
     if (reclaimed >= needed) break;
-    victims.push_back(id);
+    victims->push_back(id);
     reclaimed += entries_[id].bytes;
   }
-  return victims;
 }
 
 Bytes DeviceMemory::EvictableBytes() const {

@@ -1,6 +1,8 @@
 #ifndef HARMONY_RUNTIME_MEMORY_MANAGER_H_
 #define HARMONY_RUNTIME_MEMORY_MANAGER_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -55,10 +57,11 @@ class DeviceMemory {
     return entries_[id].resident && entries_[id].pins > 0;
   }
 
-  /// Least-recently-used unpinned victims whose combined size reaches
-  /// `needed` bytes (may return fewer if not enough are evictable). Does not
-  /// remove them — the executor removes each once its swap-out completes.
-  std::vector<TensorId> PickVictims(Bytes needed) const;
+  /// Replaces `*victims` with the least-recently-used unpinned tensors whose
+  /// combined size reaches `needed` bytes (fewer if not enough are
+  /// evictable). Does not remove them — the residency layer removes each
+  /// once its swap-out completes. Reuses `*victims`' capacity.
+  void PickVictims(Bytes needed, std::vector<TensorId>* victims) const;
 
   /// Sum of evictable (unpinned resident) bytes.
   Bytes EvictableBytes() const;
@@ -81,6 +84,8 @@ class DeviceMemory {
   int64_t clock_ = 0;
   std::vector<Entry> entries_;         // indexed by TensorId
   std::vector<TensorId> resident_list_;  // compact; order arbitrary
+  // PickVictims' sort scratch, reused across calls.
+  mutable std::vector<std::pair<int64_t, TensorId>> candidates_;
 };
 
 }  // namespace harmony::runtime

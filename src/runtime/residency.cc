@@ -138,27 +138,96 @@ void Residency::FreeTensor(TensorId id) {
 }
 
 void Residency::HostArrived(TensorId id) {
-  TensorState& st = table_.Get(id);
-  auto waiters = std::move(st.host_waiters);
-  st.host_waiters.clear();
-  for (auto& w : waiters) w();
+  RunWaits(&table_.Get(id).host_waiters);
+}
+
+// ---------------------------------------------------------------------------
+// Recycled records
+// ---------------------------------------------------------------------------
+
+void Residency::Park(WaitList* list, Wait w) {
+  int i = free_wait_;
+  if (i >= 0) {
+    free_wait_ = waits_[i].next;
+    waits_[i] = std::move(w);
+  } else {
+    i = static_cast<int>(waits_.size());
+    waits_.push_back(std::move(w));
+  }
+  waits_[i].next = -1;
+  if (list->tail >= 0) {
+    waits_[list->tail].next = i;
+  } else {
+    list->head = i;
+  }
+  list->tail = i;
+}
+
+void Residency::RunWaits(WaitList* list) {
+  int i = list->head;
+  *list = WaitList{};
+  while (i >= 0) {
+    // Take the record out before running it: the continuation may park new
+    // waits, which can reuse this slot or grow the pool.
+    Wait w = std::move(waits_[i]);
+    waits_[i] = Wait{};
+    waits_[i].next = free_wait_;
+    free_wait_ = i;
+    i = w.next;
+    if (w.join != nullptr) {
+      EnsureResident(w.d, w.need, w.join);
+    } else {
+      w.fn();
+    }
+  }
+}
+
+Residency::Transfer* Residency::NewTransfer(TensorId id, int d, Bytes bytes) {
+  Transfer* x = free_transfer_;
+  if (x != nullptr) {
+    free_transfer_ = x->next_free;
+    *x = Transfer{};
+  } else {
+    x = &transfers_.emplace_back();
+  }
+  x->id = id;
+  x->d = d;
+  x->bytes = bytes;
+  return x;
+}
+
+void Residency::FreeTransfer(Transfer* x) {
+  x->done = nullptr;
+  x->next_free = free_transfer_;
+  free_transfer_ = x;
 }
 
 // ---------------------------------------------------------------------------
 // Allocation & eviction
 // ---------------------------------------------------------------------------
 
-void Residency::AllocForProduce(int d, const ProduceSpec& p,
-                                std::function<void()> granted) {
+void Residency::AllocForProduce(int d, const ProduceSpec& p, StepJoin* join) {
   table_.Get(p.id).bytes = p.bytes;
-  RequestAlloc(d, p.id, p.bytes, std::move(granted));
+  AllocReq req;
+  req.id = p.id;
+  req.bytes = p.bytes;
+  req.join = join;
+  RequestAlloc(d, req);
 }
 
-void Residency::RequestAlloc(int d, TensorId id, Bytes bytes,
-                             std::function<void()> granted) {
-  TraceTensor(id, "alloc-request", d);
-  alloc_queue_[d].push_back(AllocReq{id, bytes, std::move(granted)});
+void Residency::RequestAlloc(int d, const AllocReq& req) {
+  TraceTensor(req.id, "alloc-request", d);
+  alloc_queue_[d].push_back(req);
   PumpAllocator(d);
+}
+
+void Residency::Grant(int d, const AllocReq& req) {
+  if (req.fetch) {
+    StartFetch(d, req.id, req.src, req.join);
+  } else {
+    req.join->Committed();
+    req.join->Arrived();
+  }
 }
 
 void Residency::PumpAllocator(int d) {
@@ -177,9 +246,9 @@ void Residency::PumpAllocator(int d) {
       // reuse the existing allocation.
       TraceTensor(req.id, "alloc-reuse", d);
       mem_[d].Pin(req.id);
-      auto granted = std::move(req.granted);
+      const AllocReq granted = req;
       alloc_queue_[d].pop_front();
-      granted();
+      Grant(d, granted);
       continue;
     }
     if (req.bytes <= mem_[d].free_bytes()) {
@@ -214,9 +283,9 @@ void Residency::PumpAllocator(int d) {
       mem_[d].Pin(req.id);
       EmitInstant(trace::EventKind::kDeviceBytes, trace::Lane::kAlloc, d,
                   mem_[d].used());
-      auto granted = std::move(req.granted);
+      const AllocReq granted = req;
       alloc_queue_[d].pop_front();
-      granted();
+      Grant(d, granted);
       continue;
     }
     const Bytes deficit = req.bytes - mem_[d].free_bytes();
@@ -227,8 +296,8 @@ void Residency::PumpAllocator(int d) {
     const Bytes want = graph_.flags.smart_eviction
                            ? deficit
                            : std::numeric_limits<Bytes>::max();
-    const auto victims = mem_[d].PickVictims(want);
-    if (victims.empty()) {
+    mem_[d].PickVictims(want, &victims_);
+    if (victims_.empty()) {
       if (evictions_in_flight_[d] > 0) {
         // Retry when one lands.
         EmitInstant(trace::EventKind::kAllocStall, trace::Lane::kAlloc, d,
@@ -268,7 +337,8 @@ void Residency::PumpAllocator(int d) {
         graph_.flags.smart_eviction && mem_[d].pressure() > 0;
     Bytes natural_deficit = std::max<Bytes>(
         0, req.bytes - (mem_[d].free_bytes() + mem_[d].pressure()));
-    for (const TensorId v : victims) {
+    // StartEviction never re-enters the allocator, so the scratch is stable.
+    for (const TensorId v : victims_) {
       const bool recovery = classify && natural_deficit <= 0;
       natural_deficit =
           std::max<Bytes>(0, natural_deficit - table_.Get(v).bytes);
@@ -311,41 +381,52 @@ void Residency::StartEviction(int d, TensorId id, bool fault_recovery) {
     return;
   }
   ++evictions_in_flight_[d];
-  const Bytes bytes = st.bytes;
-  sim::Condition* flow_done =
-      env_.swapout[d]->Push({}, [this, d, bytes](std::function<void()> done) {
-        env_.transfer(env_.net->SwapOutPath(d), bytes, d, std::move(done));
-      });
-  flow_done->OnFire([this, d, id, fault_recovery]() {
-    TensorState& st = table_.Get(id);
-    if (fault_recovery) {
-      // The emergency eviction's transfer is recovery traffic, and the host
-      // copy it writes exists only because of the fault (unless a semantic
-      // write-back claimed the bytes while this was in flight).
-      EmitFault(trace::EventKind::kFaultRecovered, d, st.bytes,
-                "mem-pressure");
-      if (st.FaultEvictedOn(d) && st.exists && !st.on_host) {
-        st.fault_host_copy = true;
-      }
-    } else {
-      EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, d,
-                  st.bytes);
-      EmitInstant(trace::EventKind::kEvict, trace::Lane::kAlloc, d, st.bytes);
-      st.fault_host_copy = false;  // the host copy is semantic now
+  Transfer* x = NewTransfer(id, d, st.bytes);
+  x->fault_recovery = fault_recovery;
+  // The landing handler waits on the op's condition, so it runs after the
+  // op's end span and before the stream's next op starts.
+  env_.swapout[d]
+      ->Push(nullptr,
+             [this, x](std::function<void()> done) {
+               env_.transfer(env_.net->SwapOutPath(x->d), x->bytes, x->d,
+                             std::move(done));
+             })
+      ->OnFire([this, x]() { EvictionLanded(x); });
+}
+
+void Residency::EvictionLanded(Transfer* x) {
+  const TensorId id = x->id;
+  const int d = x->d;
+  const bool fault_recovery = x->fault_recovery;
+  FreeTransfer(x);
+  TensorState& st = table_.Get(id);
+  if (fault_recovery) {
+    // The emergency eviction's transfer is recovery traffic, and the host
+    // copy it writes exists only because of the fault (unless a semantic
+    // write-back claimed the bytes while this was in flight).
+    EmitFault(trace::EventKind::kFaultRecovered, d, st.bytes,
+              "mem-pressure");
+    if (st.FaultEvictedOn(d) && st.exists && !st.on_host) {
+      st.fault_host_copy = true;
     }
-    if (st.exists && !st.on_host) {
-      AddHostBuffer(&st);
-      st.on_host = true;
-      st.gpu_dirty = false;
-    }
-    st.SetResident(d, false);
-    st.SetEvicting(d, false);
-    mem_[d].Unpin(id);
-    mem_[d].RemoveResident(id);
-    --evictions_in_flight_[d];
-    if (st.exists) HostArrived(id);
-    PumpAllocator(d);
-  });
+  } else {
+    EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, d,
+                st.bytes);
+    EmitInstant(trace::EventKind::kEvict, trace::Lane::kAlloc, d, st.bytes);
+    st.fault_host_copy = false;  // the host copy is semantic now
+  }
+  if (st.exists && !st.on_host) {
+    AddHostBuffer(&st);
+    st.on_host = true;
+    st.gpu_dirty = false;
+  }
+  st.SetResident(d, false);
+  st.SetEvicting(d, false);
+  mem_[d].Unpin(id);
+  mem_[d].RemoveResident(id);
+  --evictions_in_flight_[d];
+  if (st.exists) HostArrived(id);
+  PumpAllocator(d);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,8 +441,8 @@ Bytes Residency::ApplyFaultPressure(int d, double fraction) {
   // behaves like a real co-tenant allocation rather than a lazy debt. Every
   // victim is recovery-classified — the fault-free run keeps them resident.
   if (mem_[d].free_bytes() < 0) {
-    const auto victims = mem_[d].PickVictims(-mem_[d].free_bytes());
-    for (const TensorId v : victims) {
+    mem_[d].PickVictims(-mem_[d].free_bytes(), &victims_);
+    for (const TensorId v : victims_) {
       StartEviction(d, v, /*fault_recovery=*/true);
     }
   }
@@ -380,170 +461,182 @@ Bytes Residency::ReleaseFaultPressure(int d) {
 // Fetching
 // ---------------------------------------------------------------------------
 
-void Residency::EnsureResident(int d, TensorId id, Bytes bytes, bool from_host,
-                               const std::function<void()>& committed,
-                               const std::function<void()>& arrived) {
+void Residency::EnsureResident(int d, const NeedSpec& need, StepJoin* join) {
   if (env_.failed()) return;
+  const TensorId id = need.id;
   TensorState& st = table_.Get(id);
-  // Built lazily: the resident-hit fast path below never copies the
-  // callbacks, and every wait path pays for the capture only when taken.
-  auto retry = [&]() {
-    return [this, d, id, bytes, from_host, committed, arrived]() {
-      EnsureResident(d, id, bytes, from_host, committed, arrived);
-    };
-  };
+  // Every wait path parks {join, d, need} and re-runs this function when
+  // woken; the resident-hit fast path parks nothing.
+  const Wait retry{join, d, need, nullptr, -1};
   if (!st.exists) {
-    if (!AutoCreate(id, bytes)) {
-      st.creation_waiters.push_back(retry());  // wait for the producer
+    if (!AutoCreate(id, need.bytes)) {
+      Park(&st.creation_waiters, retry);  // wait for the producer
       return;
     }
   }
-  TensorState& state = table_.Get(id);
-  if (state.UsableOn(d)) {
+  if (st.UsableOn(d)) {
     TraceTensor(id, "need-hit", d);
     mem_[d].Pin(id);
     mem_[d].Touch(id);
-    committed();
-    arrived();
+    join->Committed();
+    join->Arrived();
     return;
   }
-  if (state.fetch_in_flight) {
+  if (st.fetch_in_flight) {
     // Another consumer is already pulling a copy; join and re-evaluate when
     // it lands.
-    state.arrival_waiters.push_back(retry());
+    Park(&st.arrival_waiters, retry);
     return;
   }
-  if (state.ResidentOn(d)) {
+  if (st.ResidentOn(d)) {
     // Our copy is being evicted; wait for the host copy and fetch it back.
-    state.host_waiters.push_back(retry());
+    Park(&st.host_waiters, retry);
     return;
   }
   // Pick a source: the host copy when available (and mandatory for
   // checkpoint reads via the message-passing channel), else a stable peer
   // copy for a p2p transfer.
   int src = -1;
-  if (!state.on_host) {
-    if (from_host) {
-      state.host_waiters.push_back(retry());  // the producer's copy is coming
+  if (!st.on_host) {
+    if (need.from_host) {
+      Park(&st.host_waiters, retry);  // the producer's copy is coming
       return;
     }
-    src = state.StableGpu();
+    src = st.StableGpu();
     if (src < 0) {
       // All copies are mid-eviction: the data will surface on host.
-      state.host_waiters.push_back(retry());
+      Park(&st.host_waiters, retry);
       return;
     }
   }
-  state.fetch_in_flight = true;
-  state.inflight_dst = d;
+  st.fetch_in_flight = true;
+  st.inflight_dst = d;
   if (src >= 0) mem_[src].Pin(id);  // hold the source copy during transfer
 
-  RequestAlloc(d, id, state.bytes, [this, d, id, src, committed, arrived]() {
-    committed();
-    TensorState& st = table_.Get(id);
-    const Bytes bytes = st.bytes;
-    // Chaos classification: a refetch healing a fault eviction on this
-    // device is recovery traffic (the fault-free run would have hit in
-    // device memory); a fetch forced through a fault-created host copy
-    // instead accounts the transfer the fault-free run would have made from
-    // the evicted device.
-    const bool heal = st.FaultEvictedOn(d);
-    int ghost_src = -1;
+  AllocReq req;
+  req.id = id;
+  req.bytes = st.bytes;
+  req.join = join;
+  req.fetch = true;
+  req.src = src;
+  RequestAlloc(d, req);
+}
+
+void Residency::StartFetch(int d, TensorId id, int src, StepJoin* join) {
+  join->Committed();
+  TensorState& st = table_.Get(id);
+  const Bytes bytes = st.bytes;
+  // Chaos classification: a refetch healing a fault eviction on this
+  // device is recovery traffic (the fault-free run would have hit in
+  // device memory); a fetch forced through a fault-created host copy
+  // instead accounts the transfer the fault-free run would have made from
+  // the evicted device.
+  const bool heal = st.FaultEvictedOn(d);
+  int ghost_src = -1;
+  if (heal) {
+    st.SetFaultEvicted(d, false);
+  } else if (src < 0 && st.fault_host_copy && st.fault_evicted_gpus != 0) {
+    ghost_src = std::countr_zero(st.fault_evicted_gpus);
+  }
+  Transfer* x = NewTransfer(id, d, bytes);
+  x->src = src;
+  x->join = join;
+  if (src < 0) {
+    // Host -> device swap-in.
+    HARMONY_CHECK(st.on_host) << KeyOf(id).ToString() << " has no source copy";
     if (heal) {
-      st.SetFaultEvicted(d, false);
-    } else if (src < 0 && st.fault_host_copy && st.fault_evicted_gpus != 0) {
-      ghost_src = std::countr_zero(st.fault_evicted_gpus);
-    }
-    auto finish = [this, d, id, src, arrived]() {
-      TensorState& st = table_.Get(id);
-      TraceTensor(id, "fetch-arrive", d);
-      if (src >= 0) mem_[src].Unpin(id);  // source copy stays (it's a copy)
-      st.SetResident(d, true);
-      st.fetch_in_flight = false;
-      st.inflight_dst = -1;
-      auto waiters = std::move(st.arrival_waiters);
-      st.arrival_waiters.clear();
-      arrived();
-      for (auto& w : waiters) w();
-    };
-    if (src < 0) {
-      // Host -> device swap-in.
-      HARMONY_CHECK(st.on_host) << KeyOf(id).ToString() << " has no source copy";
-      if (heal) {
-        EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
-      } else if (ghost_src >= 0) {
-        // Physical host swap-in standing in for the p2p (or host bounce)
-        // the fault-free run would have made from the evicted device.
-        if (graph_.flags.p2p_transfers) {
-          EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d,
-                      bytes);
-        } else {
-          EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut,
-                      ghost_src, bytes);
-          EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
-                      bytes);
-        }
-        EmitFault(trace::EventKind::kFaultRecovered, d, 0, "mem-pressure");
+      EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
+    } else if (ghost_src >= 0) {
+      // Physical host swap-in standing in for the p2p (or host bounce)
+      // the fault-free run would have made from the evicted device.
+      if (graph_.flags.p2p_transfers) {
+        EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d,
+                    bytes);
       } else {
+        EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut,
+                    ghost_src, bytes);
         EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
                     bytes);
       }
-      env_.swapin[d]->Push({}, [this, d, bytes,
-                                finish](std::function<void()> done) {
-        env_.transfer(env_.net->SwapInPath(d), bytes, d, [done, finish]() {
-          finish();
-          done();
-        });
-      });
-      return;
-    }
-    if (graph_.flags.p2p_transfers) {
-      if (heal) {
-        EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
-      } else {
-        EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d,
-                    bytes);
-      }
-      env_.p2pin[d]->Push({}, [this, d, src, bytes,
-                               finish](std::function<void()> done) {
-        env_.transfer(env_.net->P2pPath(src, d), bytes, d,
-                      [done, finish]() {
-                        finish();
-                        done();
-                      });
-      });
-      return;
-    }
-    // p2p disabled: bounce through host memory as two swaps.
-    if (heal) {
-      EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
+      EmitFault(trace::EventKind::kFaultRecovered, d, 0, "mem-pressure");
     } else {
-      EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, src,
-                  bytes);
       EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
                   bytes);
     }
-    env_.swapout[src]->Push({}, [this, src, d, bytes, id,
-                                 finish](std::function<void()> done) {
-      env_.transfer(env_.net->SwapOutPath(src), bytes, src,
-                            [this, d, bytes, id, finish, done]() {
-        TensorState& st = table_.Get(id);
-        if (!st.on_host) {
-          AddHostBuffer(&st);
-          st.on_host = true;
-        }
-        env_.swapin[d]->Push({}, [this, d, bytes,
-                                  finish](std::function<void()> in_done) {
-          env_.transfer(env_.net->SwapInPath(d), bytes, d,
-                        [finish, in_done]() {
-                          finish();
-                          in_done();
-                        });
-        });
-        done();
-      });
+    PushSwapIn(x);
+    return;
+  }
+  if (graph_.flags.p2p_transfers) {
+    if (heal) {
+      EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
+    } else {
+      EmitInstant(trace::EventKind::kP2pIssued, trace::Lane::kP2pIn, d,
+                  bytes);
+    }
+    env_.p2pin[d]->Push(nullptr, [this, x](std::function<void()> done) {
+      x->done = std::move(done);
+      env_.transfer(env_.net->P2pPath(x->src, x->d), x->bytes, x->d,
+                    [this, x]() { FetchLanded(x); });
     });
+    return;
+  }
+  // p2p disabled: bounce through host memory as two swaps.
+  if (heal) {
+    EmitFault(trace::EventKind::kFaultRecovered, d, bytes, "mem-pressure");
+  } else {
+    EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, src,
+                bytes);
+    EmitInstant(trace::EventKind::kSwapInIssued, trace::Lane::kSwapIn, d,
+                bytes);
+  }
+  env_.swapout[src]->Push(nullptr, [this, x](std::function<void()> done) {
+    x->done = std::move(done);
+    env_.transfer(env_.net->SwapOutPath(x->src), x->bytes, x->src,
+                  [this, x]() { BounceLanded(x); });
   });
+}
+
+void Residency::PushSwapIn(Transfer* x) {
+  env_.swapin[x->d]->Push(nullptr, [this, x](std::function<void()> done) {
+    x->done = std::move(done);
+    env_.transfer(env_.net->SwapInPath(x->d), x->bytes, x->d,
+                  [this, x]() { FetchLanded(x); });
+  });
+}
+
+void Residency::BounceLanded(Transfer* x) {
+  // The bounce's first leg landed on host: stage the host copy, queue the
+  // second leg, then complete the swap-out op.
+  TensorState& st = table_.Get(x->id);
+  if (!st.on_host) {
+    AddHostBuffer(&st);
+    st.on_host = true;
+  }
+  std::function<void()> out_done = std::move(x->done);
+  PushSwapIn(x);
+  out_done();
+}
+
+void Residency::FetchLanded(Transfer* x) {
+  const TensorId id = x->id;
+  const int d = x->d;
+  const int src = x->src;
+  StepJoin* join = x->join;
+  std::function<void()> done = std::move(x->done);
+  FreeTransfer(x);
+  TensorState& st = table_.Get(id);
+  TraceTensor(id, "fetch-arrive", d);
+  if (src >= 0) mem_[src].Unpin(id);  // source copy stays (it's a copy)
+  st.SetResident(d, true);
+  st.fetch_in_flight = false;
+  st.inflight_dst = -1;
+  // Consumers that joined this fetch wake after the step that started it,
+  // and before the stream op completes.
+  WaitList joined = st.arrival_waiters;
+  st.arrival_waiters = WaitList{};
+  join->Arrived();
+  RunWaits(&joined);
+  done();
 }
 
 // ---------------------------------------------------------------------------
@@ -563,9 +656,7 @@ void Residency::FinalizeProduce(int d, const ProduceSpec& p) {
   if (!st.exists) {
     st.exists = true;
     st.refs_remaining = RefCount(p.id);
-    auto waiters = std::move(st.creation_waiters);
-    st.creation_waiters.clear();
-    for (auto& w : waiters) w();
+    RunWaits(&st.creation_waiters);
   }
   TraceTensor(p.id, "produce-unpin", d);
   mem_[d].Unpin(p.id);
@@ -601,28 +692,36 @@ void Residency::CopyToHost(int d, TensorId id) {
   const Bytes bytes = st.bytes;
   EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, d,
               bytes);
-  env_.swapout[d]->Push({}, [this, d, bytes, id](std::function<void()> done) {
-    env_.transfer(env_.net->SwapOutPath(d), bytes, d, [this, d, id,
-                                                            done]() {
-      TensorState& st = table_.Get(id);
-      if (st.exists && !st.on_host) {
-        AddHostBuffer(&st);
-        st.on_host = true;
-        st.gpu_dirty = false;
-      }
-      mem_[d].Unpin(id);
-      if (!st.exists) {
-        // All consumers drained during the copy; finish the deferred free.
-        if (!mem_[d].IsPinned(id) && st.ResidentOn(d)) {
-          mem_[d].RemoveResident(id);
-          st.SetResident(d, false);
-        }
-      } else {
-        HostArrived(id);
-      }
-      done();
-    });
+  Transfer* x = NewTransfer(id, d, bytes);
+  env_.swapout[d]->Push(nullptr, [this, x](std::function<void()> done) {
+    x->done = std::move(done);
+    env_.transfer(env_.net->SwapOutPath(x->d), x->bytes, x->d,
+                  [this, x]() { CopyLanded(x); });
   });
+}
+
+void Residency::CopyLanded(Transfer* x) {
+  const TensorId id = x->id;
+  const int d = x->d;
+  std::function<void()> done = std::move(x->done);
+  FreeTransfer(x);
+  TensorState& st = table_.Get(id);
+  if (st.exists && !st.on_host) {
+    AddHostBuffer(&st);
+    st.on_host = true;
+    st.gpu_dirty = false;
+  }
+  mem_[d].Unpin(id);
+  if (!st.exists) {
+    // All consumers drained during the copy; finish the deferred free.
+    if (!mem_[d].IsPinned(id) && st.ResidentOn(d)) {
+      mem_[d].RemoveResident(id);
+      st.SetResident(d, false);
+    }
+  } else {
+    HostArrived(id);
+  }
+  done();
 }
 
 void Residency::MoveToHost(int d, TensorId id) {
@@ -648,24 +747,32 @@ void Residency::MoveToHost(int d, TensorId id) {
   const Bytes bytes = st.bytes;
   EmitInstant(trace::EventKind::kSwapOutIssued, trace::Lane::kSwapOut, d,
               bytes);
-  env_.swapout[d]->Push({}, [this, d, bytes, id](std::function<void()> done) {
-    env_.transfer(env_.net->SwapOutPath(d), bytes, d, [this, d, id,
-                                                            done]() {
-      TensorState& st = table_.Get(id);
-      if (st.exists && !st.on_host) {
-        AddHostBuffer(&st);
-        st.on_host = true;
-        st.gpu_dirty = false;
-      }
-      st.SetResident(d, false);
-      st.SetEvicting(d, false);
-      mem_[d].Unpin(id);
-      mem_[d].RemoveResident(id);
-      if (st.exists) HostArrived(id);
-      PumpAllocator(d);
-      done();
-    });
+  Transfer* x = NewTransfer(id, d, bytes);
+  env_.swapout[d]->Push(nullptr, [this, x](std::function<void()> done) {
+    x->done = std::move(done);
+    env_.transfer(env_.net->SwapOutPath(x->d), x->bytes, x->d,
+                  [this, x]() { MoveLanded(x); });
   });
+}
+
+void Residency::MoveLanded(Transfer* x) {
+  const TensorId id = x->id;
+  const int d = x->d;
+  std::function<void()> done = std::move(x->done);
+  FreeTransfer(x);
+  TensorState& st = table_.Get(id);
+  if (st.exists && !st.on_host) {
+    AddHostBuffer(&st);
+    st.on_host = true;
+    st.gpu_dirty = false;
+  }
+  st.SetResident(d, false);
+  st.SetEvicting(d, false);
+  mem_[d].Unpin(id);
+  mem_[d].RemoveResident(id);
+  if (st.exists) HostArrived(id);
+  PumpAllocator(d);
+  done();
 }
 
 void Residency::Deref(TensorId id) {

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "common/status.h"
 #include "core/task_graph.h"
 #include "fault/fault.h"
@@ -18,6 +19,20 @@
 #include "trace/trace.h"
 
 namespace harmony::runtime {
+
+/// One issued step's join, owned by the executor. Every need and produce of
+/// the step reports exactly one Committed() (its allocation is granted, so
+/// the step's issue slot can recycle) and then one Arrived() (its bytes are
+/// resident). The residency layer parks the pointer in its wait and
+/// allocation records instead of copying callbacks.
+class StepJoin {
+ public:
+  virtual void Committed() = 0;
+  virtual void Arrived() = 0;
+
+ protected:
+  ~StepJoin() = default;
+};
 
 /// The residency layer of the execution pipeline: Harmony's tensor-lifetime
 /// state machine (Sec 4.4) over per-device memory. Owns the tensor table, the
@@ -69,26 +84,16 @@ class Residency {
 
   // --- allocation & fetching (issue side) ---------------------------------
 
-  /// Makes `id` usable on device `d`: waits for production if needed, then
-  /// pins an existing copy or allocates + fetches one (host swap-in, p2p, or
-  /// a host bounce when p2p is off). `committed` fires once the allocation is
-  /// granted (the step's issue slot can recycle); `arrived` once the bytes
-  /// are resident. Taken by const reference: the resident-hit fast path
-  /// invokes both synchronously without ever copying them; only the wait and
-  /// fetch paths capture copies into continuations.
-  void EnsureResident(int d, TensorId id, Bytes bytes, bool from_host,
-                      const std::function<void()>& committed,
-                      const std::function<void()>& arrived);
-
-  /// Queues an allocation of `bytes` for `id` on `d`; `granted` fires with
-  /// the tensor pinned. FIFO per device; triggers eviction on pressure.
-  void RequestAlloc(int d, TensorId id, Bytes bytes,
-                    std::function<void()> granted);
+  /// Makes `need.id` usable on device `d`: waits for production if needed,
+  /// then pins an existing copy or allocates + fetches one (host swap-in,
+  /// p2p, or a host bounce when p2p is off), reporting one commit and one
+  /// arrival to `join`.
+  void EnsureResident(int d, const NeedSpec& need, StepJoin* join);
 
   /// Allocation for a tensor this step will write: records the size and
-  /// queues the allocation (residency is finalized by FinalizeProduce).
-  void AllocForProduce(int d, const ProduceSpec& p,
-                       std::function<void()> granted);
+  /// queues the allocation (residency is finalized by FinalizeProduce). The
+  /// grant reports both the commit and the arrival to `join`.
+  void AllocForProduce(int d, const ProduceSpec& p, StepJoin* join);
 
   /// Drains device `d`'s allocation queue as far as memory allows.
   void PumpAllocator(int d);
@@ -146,12 +151,70 @@ class Residency {
   const TensorKey& KeyOf(TensorId id) const { return program_->tensors.key(id); }
 
  private:
+  /// A queued allocation: a produce (grant = commit + arrival) or a fetch
+  /// (grant starts the transfer from `src`, -1 = host).
+  struct AllocReq {
+    TensorId id = kInvalidTensorId;
+    Bytes bytes = 0;
+    StepJoin* join = nullptr;
+    bool fetch = false;
+    int src = -1;
+    int fault_attempts = 0;      // injected alloc-failures consumed so far
+    bool fault_waiting = false;  // a backoff retry timer owns this slot
+  };
+
+  /// A parked continuation in a tensor's WaitList: a step's need retrying
+  /// EnsureResident, or (join == nullptr) a CPU step's callback.
+  struct Wait {
+    StepJoin* join = nullptr;
+    int d = 0;
+    NeedSpec need;
+    std::function<void()> fn;
+    int next = -1;  // the list's next record, or the free list's
+  };
+
+  /// One in-flight transfer (fetch, eviction, write-back) and the state its
+  /// completion needs. Stream bodies and flow callbacks capture {this,
+  /// record}, which fits std::function's small-object buffer.
+  struct Transfer {
+    TensorId id = kInvalidTensorId;
+    int d = 0;
+    int src = -1;
+    Bytes bytes = 0;
+    StepJoin* join = nullptr;
+    bool fault_recovery = false;
+    std::function<void()> done;  // the stream op's completion
+    Transfer* next_free = nullptr;
+  };
+
   bool AutoCreate(TensorId id, Bytes bytes);
+  void RequestAlloc(int d, const AllocReq& req);
+  /// Runs a granted request: a produce reports to its join, a fetch starts
+  /// its transfer.
+  void Grant(int d, const AllocReq& req);
+  void StartFetch(int d, TensorId id, int src, StepJoin* join);
   /// `fault_recovery` evictions exist only because an injected pressure
   /// spike forced them: they account as kFaultRecovered (not kEvict /
   /// kCleanDrop / kSwapOutIssued) and tag the tensor so the healing refetch
   /// is recovery traffic too.
   void StartEviction(int d, TensorId id, bool fault_recovery = false);
+  // Transfer completions.
+  void FetchLanded(Transfer* x);
+  void BounceLanded(Transfer* x);
+  void EvictionLanded(Transfer* x);
+  void CopyLanded(Transfer* x);
+  void MoveLanded(Transfer* x);
+  /// Pushes a swap-in of `x` on device x->d's stream; lands in FetchLanded.
+  void PushSwapIn(Transfer* x);
+
+  Transfer* NewTransfer(TensorId id, int d, Bytes bytes);
+  void FreeTransfer(Transfer* x);
+
+  void Park(WaitList* list, Wait w);
+  /// Detaches `*list` and runs its waits in FIFO order; waits parked while
+  /// they run land on the (now empty) list for the next wakeup.
+  void RunWaits(WaitList* list);
+
   void HostArrived(TensorId id);
   void AddHostBuffer(TensorState* st);
   void DropHostBuffer(TensorState* st);
@@ -172,15 +235,16 @@ class Residency {
   std::vector<DeviceMemory> mem_;
   TensorTable table_;
 
-  struct AllocReq {
-    TensorId id;
-    Bytes bytes;
-    std::function<void()> granted;
-    int fault_attempts = 0;    // injected alloc-failures consumed so far
-    bool fault_waiting = false;  // a backoff retry timer owns this slot
-  };
-  std::vector<std::deque<AllocReq>> alloc_queue_;
+  std::vector<RingQueue<AllocReq>> alloc_queue_;
   std::vector<int> evictions_in_flight_;
+  std::vector<TensorId> victims_;  // PickVictims scratch
+
+  // Recycled records. Waits are addressed by index (the pool may grow while
+  // one runs); transfers by pointer into stable deque storage.
+  std::vector<Wait> waits_;
+  int free_wait_ = -1;
+  std::deque<Transfer> transfers_;
+  Transfer* free_transfer_ = nullptr;
 
   Bytes host_bytes_ = 0;
 };

@@ -18,7 +18,9 @@ bool Residency::HostReady(TensorId id) {
 }
 
 void Residency::AddHostWaiter(TensorId id, std::function<void()> fn) {
-  table_.Get(id).host_waiters.push_back(std::move(fn));
+  Wait w;
+  w.fn = std::move(fn);
+  Park(&table_.Get(id).host_waiters, std::move(w));
 }
 
 void Residency::ReleaseHostCopy(TensorId id) {
@@ -33,7 +35,8 @@ void Residency::ReleaseHostCopy(TensorId id) {
 
 std::string Residency::DescribePendingAllocs(int d) const {
   std::string out;
-  for (const AllocReq& req : alloc_queue_[d]) {
+  for (size_t i = 0; i < alloc_queue_[d].size(); ++i) {
+    const AllocReq& req = alloc_queue_[d][i];
     if (!out.empty()) out += ", ";
     out += KeyOf(req.id).ToString() + "(" + FormatBytes(req.bytes) + ")";
   }
@@ -46,7 +49,7 @@ std::string Residency::DescribeWait(int d, const Step& step) {
     if (!out.empty()) out += ", ";
     out += KeyOf(id).ToString() + " [" + why + "]";
   };
-  for (const NeedSpec& n : step.needs) {
+  for (const NeedSpec& n : program_->needs(step)) {
     TensorState& st = table_.Get(n.id);
     if (st.UsableOn(d)) continue;  // this need is satisfied
     if (!st.exists) {
@@ -63,7 +66,7 @@ std::string Residency::DescribeWait(int d, const Step& step) {
       add(n.id, "no stable copy");
     }
   }
-  for (const ProduceSpec& p : step.produces) {
+  for (const ProduceSpec& p : program_->produces(step)) {
     if (!mem_[d].IsResident(p.id)) {
       add(p.id, "allocation not granted");
     }
@@ -73,7 +76,7 @@ std::string Residency::DescribeWait(int d, const Step& step) {
     // stream-bound (e.g. a permanently stalled compute op under chaos).
     // Name the tensors anyway so a watchdog report pins the step's inputs.
     std::string keys;
-    for (const NeedSpec& n : step.needs) {
+    for (const NeedSpec& n : program_->needs(step)) {
       if (!keys.empty()) keys += ", ";
       keys += KeyOf(n.id).ToString();
     }

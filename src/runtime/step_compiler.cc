@@ -81,32 +81,89 @@ void StepCompiler::Precompute() {
   for (auto& per_replica : stash_layout_) canonicalize(per_replica);
 }
 
-std::vector<NeedSpec> StepCompiler::BoundaryInputKeys(int boundary, int replica,
-                                                      const MbPiece& piece) {
-  std::vector<NeedSpec> out;
-  if (boundary_bytes_[boundary] == 0) return out;
+Step& StepCompiler::OpenStep(int d, int task, TimeSec compute) {
+  Step& s = program_.steps[d].emplace_back();
+  s.task = task;
+  s.compute = compute;
+  auto at_end = [](const auto& pool) {
+    const auto n = static_cast<uint32_t>(pool.size());
+    return PoolRange{n, n};
+  };
+  s.needs = at_end(program_.need_pool);
+  s.produces = at_end(program_.produce_pool);
+  s.derefs = at_end(program_.deref_pool);
+  s.copy_to_host = at_end(program_.copy_pool);
+  s.move_to_host = at_end(program_.move_pool);
+  s.mark_dirty = at_end(program_.dirty_pool);
+  return s;
+}
+
+namespace {
+
+/// Appends to the list `r` of the most recently opened step, whose ranges all
+/// end at their pools' ends.
+template <typename T>
+void Append(std::vector<T>* pool, PoolRange* r, const T& value) {
+  HARMONY_DCHECK_EQ(r->end, pool->size()) << "appending to a closed step";
+  pool->push_back(value);
+  ++r->end;
+}
+
+}  // namespace
+
+void StepCompiler::AddNeed(Step& s, const NeedSpec& n) {
+  Append(&program_.need_pool, &s.needs, n);
+}
+void StepCompiler::AddProduce(Step& s, TensorId id, Bytes bytes) {
+  Append(&program_.produce_pool, &s.produces, ProduceSpec{id, bytes});
+}
+void StepCompiler::AddDeref(Step& s, TensorId id) {
+  Append(&program_.deref_pool, &s.derefs, id);
+}
+void StepCompiler::AddCopyToHost(Step& s, TensorId id) {
+  Append(&program_.copy_pool, &s.copy_to_host, id);
+}
+void StepCompiler::AddMoveToHost(Step& s, TensorId id) {
+  Append(&program_.move_pool, &s.move_to_host, id);
+}
+void StepCompiler::AddMarkDirty(Step& s, TensorId id) {
+  Append(&program_.dirty_pool, &s.mark_dirty, id);
+}
+
+void StepCompiler::AddConsumed(Step& s, const NeedSpec& n) {
+  AddNeed(s, n);
+  AddDeref(s, n.id);
+}
+
+void StepCompiler::AddBoundaryInputs(Step& s, int boundary, int replica,
+                                     const MbPiece& piece, bool from_host) {
+  if (boundary_bytes_[boundary] == 0) return;
   if (boundary == 0 || act_layout_[replica][boundary].empty()) {
     // Data loader (or an unproduced boundary, which AutoCreate rejects):
     // keyed at consumer granularity.
-    out.push_back(NeedSpec{
-        Id(TensorKey{TensorKind::kActivation, boundary, piece.begin, replica}),
-        static_cast<Bytes>(piece.size) * boundary_bytes_[boundary]});
-    return out;
+    AddConsumed(s, NeedSpec{Id(TensorKey{TensorKind::kActivation, boundary,
+                                         piece.begin, replica}),
+                            static_cast<Bytes>(piece.size) *
+                                boundary_bytes_[boundary],
+                            from_host});
+    return;
   }
+  bool any = false;
   for (const MbPiece& p : act_layout_[replica][boundary]) {
     if (!p.Overlaps(piece)) continue;
-    out.push_back(NeedSpec{
-        Id(TensorKey{TensorKind::kActivation, boundary, p.begin, replica}),
-        static_cast<Bytes>(p.size) * boundary_bytes_[boundary]});
+    AddConsumed(s, NeedSpec{Id(TensorKey{TensorKind::kActivation, boundary,
+                                         p.begin, replica}),
+                            static_cast<Bytes>(p.size) *
+                                boundary_bytes_[boundary],
+                            from_host});
+    any = true;
   }
-  HARMONY_CHECK(!out.empty()) << "no producer pieces for boundary " << boundary;
-  return out;
+  HARMONY_CHECK(any) << "no producer pieces for boundary " << boundary;
 }
 
-std::vector<NeedSpec> StepCompiler::StashKeys(int layer, int replica,
-                                              const MbPiece& piece) {
-  std::vector<NeedSpec> out;
-  if (stash_bytes_[layer] == 0) return out;
+void StepCompiler::AddStashInputs(Step& s, int layer, int replica,
+                                  const MbPiece& piece) {
+  if (stash_bytes_[layer] == 0) return;
   HARMONY_CHECK(!stash_layout_[replica][layer].empty())
       << "backward without recompute needs stash of layer " << layer;
   // Swapped-out stash lives host-side only (the forward's move released the
@@ -114,62 +171,50 @@ std::vector<NeedSpec> StepCompiler::StashKeys(int layer, int replica,
   const bool swapped = graph_.stash_policy.at(layer) == core::StashPolicy::kSwap;
   for (const MbPiece& p : stash_layout_[replica][layer]) {
     if (!p.Overlaps(piece)) continue;
-    NeedSpec n{Id(TensorKey{TensorKind::kStash, layer, p.begin, replica}),
-               static_cast<Bytes>(p.size) * stash_bytes_[layer]};
-    n.from_host = swapped;
-    out.push_back(n);
+    AddConsumed(s, NeedSpec{Id(TensorKey{TensorKind::kStash, layer, p.begin,
+                                         replica}),
+                            static_cast<Bytes>(p.size) * stash_bytes_[layer],
+                            swapped});
   }
-  return out;
 }
 
 void StepCompiler::CompileForward(const Task& t) {
   const int d = t.device;
   for (const MbPiece& piece : t.group) {
     for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
-      Step s;
-      s.task = t.id;
-      s.compute = cost_.FwdTime(model_.layers[l].spec, piece.size);
+      Step& s = OpenStep(d, t.id, cost_.FwdTime(model_.layers[l].spec, piece.size));
       const Bytes params = model_.layers[l].spec.param_bytes;
       if (params > 0) {
-        s.needs.push_back(
-            NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
+        AddNeed(s, NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
       }
       if (l == t.pack.lo) {
-        for (const NeedSpec& in : BoundaryInputKeys(l, t.replica, piece)) {
-          s.needs.push_back(in);
-          s.derefs.push_back(in.id);
-        }
+        AddBoundaryInputs(s, l, t.replica, piece, /*from_host=*/false);
       } else if (boundary_bytes_[l] > 0) {
-        const TensorId in =
-            Id(TensorKey{TensorKind::kActivation, l, piece.begin, t.replica});
-        s.needs.push_back(
-            NeedSpec{in, static_cast<Bytes>(piece.size) * boundary_bytes_[l]});
-        s.derefs.push_back(in);
+        AddConsumed(s, NeedSpec{Id(TensorKey{TensorKind::kActivation, l,
+                                             piece.begin, t.replica}),
+                                static_cast<Bytes>(piece.size) * boundary_bytes_[l]});
       }
       if (boundary_bytes_[l + 1] > 0) {
         const TensorId out = Id(
             TensorKey{TensorKind::kActivation, l + 1, piece.begin, t.replica});
-        s.produces.push_back(ProduceSpec{
-            out, static_cast<Bytes>(piece.size) * boundary_bytes_[l + 1]});
+        AddProduce(s, out, static_cast<Bytes>(piece.size) * boundary_bytes_[l + 1]);
         if (std::find(t.checkpoint_boundaries.begin(),
                       t.checkpoint_boundaries.end(),
                       l + 1) != t.checkpoint_boundaries.end()) {
-          s.copy_to_host.push_back(out);
+          AddCopyToHost(s, out);
         }
       }
       const core::StashPolicy pol = graph_.stash_policy.at(l);
       if (pol != core::StashPolicy::kRecompute && stash_bytes_[l] > 0) {
         const TensorId st =
             Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica});
-        s.produces.push_back(ProduceSpec{
-            st, static_cast<Bytes>(piece.size) * stash_bytes_[l]});
+        AddProduce(s, st, static_cast<Bytes>(piece.size) * stash_bytes_[l]);
         if (pol == core::StashPolicy::kSwap) {
           // vDNN-style offload: release the GPU copy as soon as the move
           // lands; the backward fetches it back through the host channel.
-          s.move_to_host.push_back(st);
+          AddMoveToHost(s, st);
         }
       }
-      program_.steps[d].push_back(std::move(s));
     }
   }
 }
@@ -194,110 +239,86 @@ void StepCompiler::CompileBackward(const Task& t) {
     // granularity) — and the pack input (checkpoint) at the pack start.
     for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
       if (!remat_layer(l)) continue;
-      Step s;
-      s.task = t.id;
-      s.compute = cost_.FwdTime(model_.layers[l].spec, piece.size);
+      Step& s = OpenStep(d, t.id, cost_.FwdTime(model_.layers[l].spec, piece.size));
       const Bytes params = model_.layers[l].spec.param_bytes;
       if (params > 0) {
-        s.needs.push_back(
-            NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
+        AddNeed(s, NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
       }
       if (l == t.pack.lo) {
-        for (NeedSpec in : BoundaryInputKeys(l, t.replica, piece)) {
-          in.from_host = t.reads_checkpoint;  // message-passing channel
-          s.needs.push_back(in);
-          s.derefs.push_back(in.id);
-        }
+        // Checkpoint reads use the message-passing channel.
+        AddBoundaryInputs(s, l, t.replica, piece, t.reads_checkpoint);
       } else if (remat_layer(l - 1)) {
         if (stash_bytes_[l - 1] > 0) {
-          const TensorId in =
-              Id(TensorKey{TensorKind::kStash, l - 1, piece.begin, t.replica});
-          s.needs.push_back(
-              NeedSpec{in, static_cast<Bytes>(piece.size) * stash_bytes_[l - 1]});
-          s.derefs.push_back(in);
+          AddConsumed(s, NeedSpec{Id(TensorKey{TensorKind::kStash, l - 1,
+                                               piece.begin, t.replica}),
+                                  static_cast<Bytes>(piece.size) *
+                                      stash_bytes_[l - 1]});
         }
       } else {
         // Mixed table: the remat chain restarts above a stored layer.
-        for (const NeedSpec& st : StashKeys(l - 1, t.replica, piece)) {
-          s.needs.push_back(st);
-          s.derefs.push_back(st.id);
-        }
+        AddStashInputs(s, l - 1, t.replica, piece);
       }
       if (stash_bytes_[l] > 0) {
-        s.produces.push_back(ProduceSpec{
-            Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica}),
-            static_cast<Bytes>(piece.size) * stash_bytes_[l]});
+        AddProduce(s, Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica}),
+                   static_cast<Bytes>(piece.size) * stash_bytes_[l]);
       }
-      program_.steps[d].push_back(std::move(s));
     }
     for (int l = t.pack.hi; l >= t.pack.lo; --l) {
-      Step s;
-      s.task = t.id;
-      s.compute = cost_.BwdTime(model_.layers[l].spec, piece.size);
+      Step& s = OpenStep(d, t.id, cost_.BwdTime(model_.layers[l].spec, piece.size));
       const Bytes params = model_.layers[l].spec.param_bytes;
       if (params > 0) {
-        s.needs.push_back(
-            NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
+        AddNeed(s, NeedSpec{Id(TensorKey{TensorKind::kWeight, l, -1, d}), params});
         const TensorId g = Id(TensorKey{TensorKind::kGrad, l, -1, t.replica});
         if (first_piece) {
-          s.produces.push_back(ProduceSpec{g, params});
+          AddProduce(s, g, params);
         } else {
-          s.needs.push_back(NeedSpec{g, params});
+          AddNeed(s, NeedSpec{g, params});
         }
-        s.mark_dirty.push_back(g);
+        AddMarkDirty(s, g);
       }
       // Stashed activations of this layer (rematerialized or fetched).
       if (remat_layer(l)) {
         if (stash_bytes_[l] > 0) {
-          const TensorId st =
-              Id(TensorKey{TensorKind::kStash, l, piece.begin, t.replica});
-          s.needs.push_back(
-              NeedSpec{st, static_cast<Bytes>(piece.size) * stash_bytes_[l]});
-          s.derefs.push_back(st);
+          AddConsumed(s, NeedSpec{Id(TensorKey{TensorKind::kStash, l,
+                                               piece.begin, t.replica}),
+                                  static_cast<Bytes>(piece.size) * stash_bytes_[l]});
         }
       } else {
-        for (const NeedSpec& st : StashKeys(l, t.replica, piece)) {
-          s.needs.push_back(st);
-          s.derefs.push_back(st.id);
-        }
+        AddStashInputs(s, l, t.replica, piece);
       }
       // Incoming gradient dA(l+1).
       if (l == t.pack.hi) {
         if (t.pack.hi + 1 <= R - 1 && boundary_bytes_[l + 1] > 0) {
           for (const MbPiece& p : grad_layout_[t.replica][l + 1]) {
             if (!p.Overlaps(piece)) continue;
-            const TensorId gin =
-                Id(TensorKey{TensorKind::kGradAct, l + 1, p.begin, t.replica});
-            s.needs.push_back(NeedSpec{
-                gin, static_cast<Bytes>(p.size) * boundary_bytes_[l + 1]});
-            s.derefs.push_back(gin);
+            AddConsumed(s, NeedSpec{Id(TensorKey{TensorKind::kGradAct, l + 1,
+                                                 p.begin, t.replica}),
+                                    static_cast<Bytes>(p.size) *
+                                        boundary_bytes_[l + 1]});
           }
         }
       } else if (boundary_bytes_[l + 1] > 0) {
-        const TensorId gin =
-            Id(TensorKey{TensorKind::kGradAct, l + 1, piece.begin, t.replica});
-        s.needs.push_back(
-            NeedSpec{gin, static_cast<Bytes>(piece.size) * boundary_bytes_[l + 1]});
-        s.derefs.push_back(gin);
+        AddConsumed(s, NeedSpec{Id(TensorKey{TensorKind::kGradAct, l + 1,
+                                             piece.begin, t.replica}),
+                                static_cast<Bytes>(piece.size) *
+                                    boundary_bytes_[l + 1]});
       }
       // Outgoing gradient dA(l) (none for the model input).
       if (l > 0 && boundary_bytes_[l] > 0) {
-        s.produces.push_back(ProduceSpec{
-            Id(TensorKey{TensorKind::kGradAct, l, piece.begin, t.replica}),
-            static_cast<Bytes>(piece.size) * boundary_bytes_[l]});
+        AddProduce(s, Id(TensorKey{TensorKind::kGradAct, l, piece.begin, t.replica}),
+                   static_cast<Bytes>(piece.size) * boundary_bytes_[l]);
       }
-      program_.steps[d].push_back(std::move(s));
     }
     first_piece = false;
   }
   // After the group completes: push accumulated gradients to host when the
-  // update runs on CPU or gradients reduce across replicas.
+  // update runs on CPU or gradients reduce across replicas. The device's
+  // last step is the most recently opened one, so its list can still grow.
   if (push_grads && !program_.steps[d].empty()) {
     Step& last = program_.steps[d].back();
     for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
       if (model_.layers[l].spec.param_bytes > 0) {
-        last.move_to_host.push_back(
-            Id(TensorKey{TensorKind::kGrad, l, -1, t.replica}));
+        AddMoveToHost(last, Id(TensorKey{TensorKind::kGrad, l, -1, t.replica}));
       }
     }
   }
@@ -312,29 +333,24 @@ void StepCompiler::CompileGpuUpdate(const Task& t) {
   for (int l = t.pack.lo; l <= t.pack.hi; ++l) {
     const Bytes params = model_.layers[l].spec.param_bytes;
     if (params == 0) continue;
-    Step s;
-    s.task = t.id;
-    s.compute = cost_.GpuUpdateTime(model_.layers[l].spec);
+    Step& s = OpenStep(d, t.id, cost_.GpuUpdateTime(model_.layers[l].spec));
     const TensorId w = Id(TensorKey{TensorKind::kWeight, l, -1, d});
     const TensorId g = Id(TensorKey{TensorKind::kGrad, l, -1, replica});
     const TensorId o = Id(TensorKey{TensorKind::kOptState, l, -1, d});
-    s.needs.push_back(NeedSpec{w, params});
-    s.needs.push_back(NeedSpec{g, params});
-    s.needs.push_back(NeedSpec{o, opt_state_bytes(l)});
-    s.mark_dirty.push_back(w);
-    s.mark_dirty.push_back(o);
-    s.copy_to_host.push_back(w);   // master write-back; cached copy stays
-    s.move_to_host.push_back(o);   // persists on host for the next iteration
-    s.derefs.push_back(g);
-    program_.steps[d].push_back(std::move(s));
+    AddNeed(s, NeedSpec{w, params});
+    AddNeed(s, NeedSpec{g, params});
+    AddNeed(s, NeedSpec{o, opt_state_bytes(l)});
+    AddMarkDirty(s, w);
+    AddMarkDirty(s, o);
+    AddCopyToHost(s, w);  // master write-back; cached copy stays
+    AddMoveToHost(s, o);  // persists on host for the next iteration
+    AddDeref(s, g);
     any = true;
   }
   if (!any) {
     // Pack with no parameters at all: still emit an empty step so the task
     // completes and dependents unblock.
-    Step s;
-    s.task = t.id;
-    program_.steps[d].push_back(std::move(s));
+    OpenStep(d, t.id, 0);
   }
 }
 
@@ -372,11 +388,7 @@ void StepCompiler::CompileCpuUpdate(const Task& t) {
 
 void StepCompiler::ComputeRefs() {
   program_.ref_counts.assign(program_.tensors.size(), 0);
-  for (const auto& dev : program_.steps) {
-    for (const Step& s : dev) {
-      for (const TensorId id : s.derefs) ++program_.ref_counts[id];
-    }
-  }
+  for (const TensorId id : program_.deref_pool) ++program_.ref_counts[id];
 }
 
 StepProgram StepCompiler::Compile() {
@@ -416,8 +428,7 @@ StepProgram StepCompiler::Compile() {
 namespace {
 
 void AppendKeys(std::string* out, const char* tag,
-                const std::vector<TensorId>& ids,
-                const TensorCatalog& tensors) {
+                std::span<const TensorId> ids, const TensorCatalog& tensors) {
   if (ids.empty()) return;
   *out += " ";
   *out += tag;
@@ -431,30 +442,34 @@ void AppendKeys(std::string* out, const char* tag,
 
 }  // namespace
 
-std::string DebugString(const Step& s, const TensorCatalog& tensors) {
+std::string DebugString(const Step& s, const StepProgram& program) {
+  const TensorCatalog& tensors = program.tensors;
   std::string out = "t" + std::to_string(s.task);
   out += " needs=[";
-  for (size_t i = 0; i < s.needs.size(); ++i) {
+  const std::span<const NeedSpec> needs = program.needs(s);
+  for (size_t i = 0; i < needs.size(); ++i) {
     if (i) out += " ";
-    out += tensors.key(s.needs[i].id).ToString() + ":" +
-           std::to_string(s.needs[i].bytes);
-    if (s.needs[i].from_host) out += "@host";
+    out += tensors.key(needs[i].id).ToString() + ":" +
+           std::to_string(needs[i].bytes);
+    if (needs[i].from_host) out += "@host";
   }
   out += "] produces=[";
-  for (size_t i = 0; i < s.produces.size(); ++i) {
+  const std::span<const ProduceSpec> produces = program.produces(s);
+  for (size_t i = 0; i < produces.size(); ++i) {
     if (i) out += " ";
-    out += tensors.key(s.produces[i].id).ToString() + ":" +
-           std::to_string(s.produces[i].bytes);
+    out += tensors.key(produces[i].id).ToString() + ":" +
+           std::to_string(produces[i].bytes);
   }
   out += "]";
-  AppendKeys(&out, "derefs", s.derefs, tensors);
-  AppendKeys(&out, "copy", s.copy_to_host, tensors);
-  AppendKeys(&out, "move", s.move_to_host, tensors);
-  AppendKeys(&out, "dirty", s.mark_dirty, tensors);
+  AppendKeys(&out, "derefs", program.derefs(s), tensors);
+  AppendKeys(&out, "copy", program.copy_to_host(s), tensors);
+  AppendKeys(&out, "move", program.move_to_host(s), tensors);
+  AppendKeys(&out, "dirty", program.mark_dirty(s), tensors);
   return out;
 }
 
-std::string DebugString(const CpuStep& s, const TensorCatalog& tensors) {
+std::string DebugString(const CpuStep& s, const StepProgram& program) {
+  const TensorCatalog& tensors = program.tensors;
   std::string out = "t" + std::to_string(s.task) + " cpu";
   AppendKeys(&out, "host_needs", s.host_needs, tensors);
   AppendKeys(&out, "host_frees", s.host_frees, tensors);

@@ -35,10 +35,26 @@ class StepCompiler {
   void CompileBackward(const core::Task& t);
   void CompileGpuUpdate(const core::Task& t);
   void CompileCpuUpdate(const core::Task& t);
-  std::vector<NeedSpec> BoundaryInputKeys(int boundary, int replica,
-                                          const core::MbPiece& piece);
-  std::vector<NeedSpec> StashKeys(int layer, int replica,
-                                  const core::MbPiece& piece);
+
+  /// Appends a step to device `d`. Its lists start empty at the pools' ends;
+  /// the Add* calls below extend the most recently opened step's lists.
+  Step& OpenStep(int d, int task, TimeSec compute);
+  void AddNeed(Step& s, const NeedSpec& n);
+  void AddProduce(Step& s, TensorId id, Bytes bytes);
+  void AddDeref(Step& s, TensorId id);
+  void AddCopyToHost(Step& s, TensorId id);
+  void AddMoveToHost(Step& s, TensorId id);
+  void AddMarkDirty(Step& s, TensorId id);
+  /// A need the step also consumes (deref on completion).
+  void AddConsumed(Step& s, const NeedSpec& n);
+  /// The producer pieces of `boundary` overlapping `piece`, as consumed
+  /// needs.
+  void AddBoundaryInputs(Step& s, int boundary, int replica,
+                         const core::MbPiece& piece, bool from_host);
+  /// The stored stash pieces of `layer` overlapping `piece`, as consumed
+  /// needs (fetched through the host channel when the layer swaps).
+  void AddStashInputs(Step& s, int layer, int replica,
+                      const core::MbPiece& piece);
   void ComputeRefs();
 
   Bytes opt_state_bytes(int layer) const {

@@ -3,10 +3,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -58,41 +56,70 @@ inline constexpr TensorId kInvalidTensorId = -1;
 class TensorCatalog {
  public:
   TensorId Intern(const TensorKey& key) {
-    auto [it, inserted] =
-        index_.try_emplace(key, static_cast<TensorId>(keys_.size()));
-    if (inserted) keys_.push_back(key);
-    return it->second;
+    if ((keys_.size() + 1) * 2 > slots_.size()) Grow();
+    size_t i = Home(key);
+    for (; slots_[i] != kInvalidTensorId; i = (i + 1) & mask_) {
+      if (keys_[slots_[i]] == key) return slots_[i];
+    }
+    const auto id = static_cast<TensorId>(keys_.size());
+    slots_[i] = id;
+    keys_.push_back(key);
+    return id;
   }
   /// kInvalidTensorId when `key` was never interned.
   TensorId Find(const TensorKey& key) const {
-    auto it = index_.find(key);
-    return it == index_.end() ? kInvalidTensorId : it->second;
+    if (slots_.empty()) return kInvalidTensorId;
+    for (size_t i = Home(key); slots_[i] != kInvalidTensorId;
+         i = (i + 1) & mask_) {
+      if (keys_[slots_[i]] == key) return slots_[i];
+    }
+    return kInvalidTensorId;
   }
   const TensorKey& key(TensorId id) const { return keys_[id]; }
   int size() const { return static_cast<int>(keys_.size()); }
 
  private:
-  /// The compiler interns the same key many times (once per consuming step);
-  /// a hashed index makes the hot repeat-lookup O(1) instead of a red-black
-  /// tree walk with field-tuple comparisons at every node.
-  struct KeyHash {
-    size_t operator()(const TensorKey& k) const {
-      uint64_t h = (static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 56) ^
-                   (static_cast<uint64_t>(static_cast<uint32_t>(k.owner)) << 40) ^
-                   (static_cast<uint64_t>(static_cast<uint32_t>(k.begin)) << 20) ^
-                   static_cast<uint64_t>(static_cast<uint32_t>(k.layer));
-      // splitmix64 finalizer: spreads the packed fields across all bits.
-      h ^= h >> 30;
-      h *= 0xbf58476d1ce4e5b9ull;
-      h ^= h >> 27;
-      h *= 0x94d049bb133111ebull;
-      h ^= h >> 31;
-      return static_cast<size_t>(h);
+  /// The compiler interns the same key many times (once per consuming step),
+  /// so the index is a flat open-addressing table of ids (linear probing,
+  /// load factor at most 1/2): a repeat lookup is a hash and a short probe,
+  /// and the whole index is one allocation, not one node per tensor.
+  size_t Home(const TensorKey& k) const {
+    uint64_t h = (static_cast<uint64_t>(static_cast<uint8_t>(k.kind)) << 56) ^
+                 (static_cast<uint64_t>(static_cast<uint32_t>(k.owner)) << 40) ^
+                 (static_cast<uint64_t>(static_cast<uint32_t>(k.begin)) << 20) ^
+                 static_cast<uint64_t>(static_cast<uint32_t>(k.layer));
+    // splitmix64 finalizer: spreads the packed fields across all bits.
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    h ^= h >> 31;
+    return static_cast<size_t>(h) & mask_;
+  }
+
+  /// Doubles the table (first use: 1024 slots) and re-inserts every id.
+  void Grow() {
+    const size_t n = slots_.empty() ? 1024 : slots_.size() * 2;
+    slots_.assign(n, kInvalidTensorId);
+    mask_ = n - 1;
+    for (size_t id = 0; id < keys_.size(); ++id) {
+      size_t i = Home(keys_[id]);
+      while (slots_[i] != kInvalidTensorId) i = (i + 1) & mask_;
+      slots_[i] = static_cast<TensorId>(id);
     }
-  };
+  }
 
   std::vector<TensorKey> keys_;
-  std::unordered_map<TensorKey, TensorId, KeyHash> index_;
+  std::vector<TensorId> slots_;  // power-of-two size; kInvalidTensorId = empty
+  size_t mask_ = 0;
+};
+
+/// A FIFO of parked continuations: head and tail indices into the residency
+/// layer's pool of wait records (-1: empty).
+struct WaitList {
+  int head = -1;
+  int tail = -1;
+  bool empty() const { return head < 0; }
 };
 
 /// Where a tensor's bytes live and how they may move. A tensor has at most
@@ -147,11 +174,12 @@ struct TensorState {
     return stable == 0 ? -1 : std::countr_zero(stable);
   }
 
-  /// Continuations: fired (and cleared) on production, on GPU arrival, and on
-  /// host-copy availability, respectively.
-  std::vector<std::function<void()>> creation_waiters;
-  std::vector<std::function<void()>> arrival_waiters;
-  std::vector<std::function<void()>> host_waiters;
+  /// Parked continuations: run (and cleared) on production, on GPU arrival,
+  /// and on host-copy availability, respectively. Each is a FIFO linked
+  /// through the residency layer's recycled wait records.
+  WaitList creation_waiters;
+  WaitList arrival_waiters;
+  WaitList host_waiters;
 };
 
 /// Registry of all tensor instances in a run, indexed by TensorId. Every id

@@ -21,53 +21,28 @@ TimeSec Engine::Run() {
 void Condition::Fire() {
   HARMONY_CHECK(!fired_) << "Condition fired twice";
   fired_ = true;
-  std::vector<std::function<void()>> waiters = std::move(waiters_);
-  waiters_.clear();
-  for (auto& w : waiters) w();
+  // With fired_ set, OnFire runs new waiters immediately, so neither slot
+  // changes while the registered ones run.
+  if (first_) first_();
+  for (size_t i = 0; i < more_.size(); ++i) more_[i]();
+  first_ = nullptr;
+  more_.clear();
 }
 
 void Condition::OnFire(std::function<void()> fn) {
   if (fired_) {
     fn();
+  } else if (!first_) {
+    first_ = std::move(fn);
   } else {
-    waiters_.push_back(std::move(fn));
+    more_.push_back(std::move(fn));
   }
 }
 
-void WhenAll(const std::vector<Condition*>& deps, std::function<void()> done) {
-  // Fast paths: most call sites wait on zero or one unfired condition (the
-  // rest already fired, or are null), and neither needs a shared barrier.
-  int unfired = 0;
-  Condition* last_unfired = nullptr;
-  for (Condition* c : deps) {
-    if (c == nullptr || c->fired()) continue;
-    ++unfired;
-    last_unfired = c;
-  }
-  if (unfired == 0) {
-    done();
-    return;
-  }
-  if (unfired == 1) {
-    last_unfired->OnFire(std::move(done));
-    return;
-  }
-
-  struct Barrier {
-    int remaining;
-    std::function<void()> done;
-  };
-  // Shared ownership, not self-deletion: if a dependency never fires (a
-  // wedged schedule drains the engine with waiters still registered), the
-  // barrier is released when the conditions holding its waiters are
-  // destroyed, instead of leaking.
-  auto barrier = std::make_shared<Barrier>(Barrier{unfired, std::move(done)});
-  for (Condition* c : deps) {
-    if (c == nullptr || c->fired()) continue;
-    c->OnFire([barrier]() {
-      if (--barrier->remaining == 0) barrier->done();
-    });
-  }
+void Condition::Reset() {
+  fired_ = false;
+  first_ = nullptr;
+  more_.clear();
 }
 
 }  // namespace harmony::sim

@@ -111,6 +111,11 @@ class Engine {
 
 /// One-shot synchronization flag, analogous to a CUDA event: consumers
 /// register callbacks that run when (or immediately if) the condition fires.
+///
+/// The first waiter is held inline: nearly every condition in the runtime has
+/// exactly one (the next op of a stream, or the completion handler its pusher
+/// chained on), so registering it allocates nothing as long as the callback's
+/// captures fit std::function's small-object buffer (two pointers).
 class Condition {
  public:
   Condition() = default;
@@ -119,24 +124,23 @@ class Condition {
 
   bool fired() const { return fired_; }
 
-  /// Fires the condition; runs pending callbacks synchronously (they execute
-  /// within the current event, at the current simulated time). Firing twice
-  /// is a programming error.
+  /// Fires the condition; runs pending callbacks synchronously, in
+  /// registration order (they execute within the current event, at the
+  /// current simulated time). Firing twice is a programming error.
   void Fire();
 
   /// Runs `fn` when the condition fires; immediately if already fired.
   void OnFire(std::function<void()> fn);
 
+  /// Returns a fired (or never-waited-on) condition to its initial state so
+  /// its owner can recycle the record holding it.
+  void Reset();
+
  private:
   bool fired_ = false;
-  std::vector<std::function<void()>> waiters_;
+  std::function<void()> first_;
+  std::vector<std::function<void()>> more_;
 };
-
-/// Fires `done` once every condition in `deps` has fired (all may already be
-/// fired, in which case `done` runs immediately). `deps` may contain nulls,
-/// which are ignored. The returned guard must stay alive until completion;
-/// ownership is internal (self-deleting), callers just call the function.
-void WhenAll(const std::vector<Condition*>& deps, std::function<void()> done);
 
 }  // namespace harmony::sim
 

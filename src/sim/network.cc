@@ -27,19 +27,13 @@ int64_t FlowNetwork::StartFlow(const std::vector<int>& path, Bytes bytes,
     e.time = engine_->now();
     e.bytes = bytes;
     bus_->Emit(e);
-    done = [this, bytes, done = std::move(done)]() {
-      trace::Event end;
-      end.kind = trace::EventKind::kFlowEnd;
-      end.lane = trace::Lane::kNet;
-      end.time = engine_->now();
-      end.bytes = bytes;
-      bus_->Emit(end);
-      done();
-    };
   }
   if (bytes == 0 || path.empty()) {
     // Completes "immediately" but asynchronously, preserving callback order.
-    engine_->After(0.0, std::move(done));
+    engine_->After(0.0, [this, bytes, done = std::move(done)]() {
+      EmitFlowEnd(bytes);
+      done();
+    });
     return id;
   }
   for (int link : path) {
@@ -58,12 +52,14 @@ int64_t FlowNetwork::StartFlow(const std::vector<int>& path, Bytes bytes,
     flow_remaining_.push_back(0.0);
     flow_rate_.push_back(0.0);
     flow_path_.emplace_back();
+    flow_bytes_.push_back(0);
     flow_done_.emplace_back();
     frozen_epoch_.push_back(0);
   }
   flow_id_[slot] = id;
   flow_path_[slot].assign(path.begin(), path.end());
   flow_remaining_[slot] = static_cast<double>(bytes);
+  flow_bytes_[slot] = bytes;
   flow_rate_[slot] = 0.0;
   flow_done_[slot] = std::move(done);
   // The new flow's id is the largest, so appending keeps every list sorted
@@ -203,7 +199,7 @@ void FlowNetwork::OnWakeup() {
     // flow integrates with ~1e-7 relative error, so an absolute epsilon
     // below one byte would spin the engine on infinitesimal completions.
     if (flow_remaining_[slot] <= 1.0) {
-      done_scratch_.push_back(std::move(flow_done_[slot]));
+      done_scratch_.push_back({flow_bytes_[slot], std::move(flow_done_[slot])});
       RemoveFromLinks(slot);
       flow_done_[slot] = nullptr;
       flow_path_[slot].clear();
@@ -214,8 +210,21 @@ void FlowNetwork::OnWakeup() {
   }
   active_.resize(keep);
   RecomputeRates();
-  for (auto& fn : done_scratch_) fn();
+  for (Finished& f : done_scratch_) {
+    EmitFlowEnd(f.bytes);
+    f.done();
+  }
   done_scratch_.clear();
+}
+
+void FlowNetwork::EmitFlowEnd(Bytes bytes) {
+  if (bus_ == nullptr || !bus_->active()) return;
+  trace::Event end;
+  end.kind = trace::EventKind::kFlowEnd;
+  end.lane = trace::Lane::kNet;
+  end.time = engine_->now();
+  end.bytes = bytes;
+  bus_->Emit(end);
 }
 
 void FlowNetwork::RemoveFromLinks(int slot) {
@@ -263,31 +272,37 @@ Interconnect::Interconnect(const hw::MachineSpec& machine) : machine_(machine) {
     }
   }
   HARMONY_CHECK_EQ(num_links(), machine.NumLinks());
+
+  const int n = machine.num_gpus;
+  for (int g = 0; g < n; ++g) {
+    const int s = machine.gpu_to_switch[g];
+    swap_in_paths_.push_back({hostmem_read_, uplink_down_[s], gpu_down_[g]});
+    swap_out_paths_.push_back({gpu_up_[g], uplink_up_[s], hostmem_write_});
+  }
+  p2p_paths_.resize(static_cast<size_t>(n) * n);
+  for (int src = 0; src < n; ++src) {
+    for (int dst = 0; dst < n; ++dst) {
+      if (src == dst) continue;
+      std::vector<int>& path = p2p_paths_[static_cast<size_t>(src) * n + dst];
+      const int ss = machine.gpu_to_switch[src];
+      const int ds = machine.gpu_to_switch[dst];
+      if (!nvlink_out_.empty()) {
+        // Dedicated NVLink ports: p2p bypasses the PCIe tree entirely.
+        path = {nvlink_out_[src], nvlink_in_[dst]};
+      } else if (ss == ds) {
+        path = {gpu_up_[src], gpu_down_[dst]};
+      } else {
+        // Cross-switch p2p bounces through the root complex (no DRAM hop).
+        path = {gpu_up_[src], uplink_up_[ss], uplink_down_[ds], gpu_down_[dst]};
+      }
+    }
+  }
 }
 
-std::vector<int> Interconnect::SwapInPath(int gpu) const {
-  const int s = machine_.gpu_to_switch[gpu];
-  return {hostmem_read_, uplink_down_[s], gpu_down_[gpu]};
-}
-
-std::vector<int> Interconnect::SwapOutPath(int gpu) const {
-  const int s = machine_.gpu_to_switch[gpu];
-  return {gpu_up_[gpu], uplink_up_[s], hostmem_write_};
-}
-
-std::vector<int> Interconnect::P2pPath(int src_gpu, int dst_gpu) const {
+const std::vector<int>& Interconnect::P2pPath(int src_gpu, int dst_gpu) const {
   HARMONY_CHECK_NE(src_gpu, dst_gpu);
-  if (!nvlink_out_.empty()) {
-    // Dedicated NVLink ports: p2p bypasses the PCIe tree entirely.
-    return {nvlink_out_[src_gpu], nvlink_in_[dst_gpu]};
-  }
-  const int ss = machine_.gpu_to_switch[src_gpu];
-  const int ds = machine_.gpu_to_switch[dst_gpu];
-  if (ss == ds) {
-    return {gpu_up_[src_gpu], gpu_down_[dst_gpu]};
-  }
-  // Cross-switch p2p bounces through the root complex (no DRAM hop).
-  return {gpu_up_[src_gpu], uplink_up_[ss], uplink_down_[ds], gpu_down_[dst_gpu]};
+  return p2p_paths_.at(static_cast<size_t>(src_gpu) * machine_.num_gpus +
+                       dst_gpu);
 }
 
 std::string Interconnect::LinkName(int link) const { return names_.at(link); }

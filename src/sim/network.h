@@ -81,6 +81,8 @@ class FlowNetwork {
   void OnWakeup();
   /// Unlinks `slot` from every per-link flow list along its path.
   void RemoveFromLinks(int slot);
+  /// The kFlowEnd instant, emitted just before a flow's callback runs.
+  void EmitFlowEnd(Bytes bytes);
 
   Engine* engine_;
   trace::TraceBus* bus_ = nullptr;
@@ -97,6 +99,7 @@ class FlowNetwork {
   std::vector<double> flow_remaining_;        // bytes
   std::vector<double> flow_rate_;             // bytes/sec, by RecomputeRates()
   std::vector<std::vector<int>> flow_path_;   // capacity reused across reuse
+  std::vector<Bytes> flow_bytes_;             // for the kFlowEnd instant
   std::vector<std::function<void()>> flow_done_;
   std::vector<int> free_slots_;
   std::vector<int> active_;
@@ -109,7 +112,11 @@ class FlowNetwork {
   std::vector<int> nflows_;
   std::vector<uint32_t> frozen_epoch_;
   uint32_t fill_epoch_ = 0;
-  std::vector<std::function<void()>> done_scratch_;
+  struct Finished {
+    Bytes bytes;
+    std::function<void()> done;
+  };
+  std::vector<Finished> done_scratch_;
 
   int64_t next_flow_id_ = 0;
   TimeSec last_update_ = 0.0;
@@ -135,9 +142,15 @@ class Interconnect {
   int num_links() const { return static_cast<int>(capacities_.size()); }
   const std::vector<BytesPerSec>& capacities() const { return capacities_; }
 
-  std::vector<int> SwapInPath(int gpu) const;   // host -> gpu
-  std::vector<int> SwapOutPath(int gpu) const;  // gpu -> host
-  std::vector<int> P2pPath(int src_gpu, int dst_gpu) const;
+  /// Paths are built once at construction; the references stay valid for
+  /// the Interconnect's lifetime.
+  const std::vector<int>& SwapInPath(int gpu) const {  // host -> gpu
+    return swap_in_paths_.at(gpu);
+  }
+  const std::vector<int>& SwapOutPath(int gpu) const {  // gpu -> host
+    return swap_out_paths_.at(gpu);
+  }
+  const std::vector<int>& P2pPath(int src_gpu, int dst_gpu) const;
 
   /// Human-readable link name (tests / diagnostics).
   std::string LinkName(int link) const;
@@ -155,6 +168,9 @@ class Interconnect {
   std::vector<int> nvlink_in_;
   int hostmem_write_ = -1;       // DMA into host DRAM
   int hostmem_read_ = -1;        // DMA out of host DRAM
+  std::vector<std::vector<int>> swap_in_paths_;   // per gpu
+  std::vector<std::vector<int>> swap_out_paths_;  // per gpu
+  std::vector<std::vector<int>> p2p_paths_;       // src * num_gpus + dst
 };
 
 }  // namespace harmony::sim

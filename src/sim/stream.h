@@ -3,9 +3,7 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/units.h"
 #include "sim/engine.h"
@@ -19,9 +17,16 @@ namespace harmony::sim {
 /// Conditions, analogous to CUDA events.
 ///
 /// An op starts when (a) the op ahead of it in the stream has finished, and
-/// (b) all of its dependency conditions have fired. The op's body receives a
+/// (b) its dependency condition (if any) has fired. The op's body receives a
 /// completion callback to invoke when its work is done (a compute delay or a
 /// FlowNetwork transfer).
+///
+/// Each op is a record owned by the stream that holds its own completion
+/// Condition. Ops complete in push order, so records are recycled FIFO: once
+/// an op has fired and its waiters have run, the next Push reuses its record.
+/// Record storage is bounded by the ops in flight, not by the ops pushed over
+/// the stream's lifetime, and a steady-state Push allocates nothing as long
+/// as the body's captures fit std::function's small-object buffer.
 class Stream {
  public:
   using Body = std::function<void(std::function<void()> done)>;
@@ -30,26 +35,26 @@ class Stream {
   Stream(const Stream&) = delete;
   Stream& operator=(const Stream&) = delete;
 
-  /// Enqueues an op; returns the condition fired on its completion. The
-  /// returned pointer stays valid for the stream's lifetime.
-  Condition* Push(std::vector<Condition*> deps, Body body);
+  /// Enqueues an op that waits for `dep` (null: no external dependency) and
+  /// for the op ahead of it. Returns the condition fired on the op's
+  /// completion. The pointer is valid until the condition has fired: its
+  /// record is then recycled by a later Push. Chaining `->OnFire(...)` on
+  /// the returned pointer is always safe; a caller that keeps the pointer
+  /// must not touch it after it fired.
+  Condition* Push(Condition* dep, Body body);
 
-  /// Same, with a trace label and task id attached to the span events. Build
-  /// the label only when the bound bus reports detailed() — it is dead weight
-  /// otherwise.
-  Condition* Push(std::vector<Condition*> deps, std::string label, int task,
-                  Body body);
-
-  /// An op whose duration is known at push time (a profiled compute delay).
-  /// busy_time accumulates `duration` itself rather than the end-minus-start
+  /// An op whose duration is known at push time (a profiled compute delay),
+  /// with a trace label and task id attached to its span events. Build the
+  /// label only when the bound bus reports detailed() — it is dead weight
+  /// otherwise. busy_time accumulates `duration` itself rather than the end-minus-start
   /// timestamp difference, so the total is invariant under time translation:
   /// injected faults that merely *delay* ops cannot drift busy_time by even
   /// an ulp.
-  Condition* PushTimed(std::vector<Condition*> deps, std::string label,
-                       int task, TimeSec duration);
+  Condition* PushTimed(Condition* dep, std::string label, int task,
+                       TimeSec duration);
 
   /// Convenience: an op that just occupies the stream for `duration`.
-  Condition* PushDelay(std::vector<Condition*> deps, TimeSec duration);
+  Condition* PushDelay(Condition* dep, TimeSec duration);
 
   /// Routes this stream's op begin/end span events to `bus`, attributed to
   /// `device` on `lane` (one chrome-trace row per device x lane).
@@ -74,24 +79,46 @@ class Stream {
   TimeSec last_completion() const { return last_completion_; }
   const std::string& name() const { return name_; }
   int64_t ops_completed() const { return ops_completed_; }
+  /// Op records ever created (live or recycled): the stream's peak number of
+  /// ops in flight, plus fired ops not yet reclaimed by a Push.
+  size_t op_records() const { return records_.size(); }
 
  private:
-  /// Shared implementation: `exact_duration >= 0` means "charge busy_time
-  /// exactly this much"; negative means "measure end minus start".
-  Condition* PushImpl(std::vector<Condition*> deps, std::string label,
-                      int task, Body body, TimeSec exact_duration);
+  struct Op {
+    Condition done;
+    Body body;           // empty for timed ops
+    std::string label;   // empty unless the pusher saw detailed()
+    int task = -1;
+    int waits = 0;       // unfired among {dep, previous op}
+    bool settled = false;  // fired, and its waiters have run
+    /// >= 0: charge busy_time exactly this much (PushTimed); negative:
+    /// measure end minus start.
+    TimeSec exact_duration = -1.0;
+    TimeSec start = 0.0;
+    Op* next = nullptr;  // the live FIFO, or the free list once recycled
+  };
+
+  Condition* PushImpl(Condition* dep, std::string label, int task, Body body,
+                      TimeSec exact_duration);
+  /// Recycles settled ops from the front of the live FIFO.
+  void Reclaim();
+  void Start(Op* op);
+  void Run(Op* op);
+  void Complete(Op* op);
 
   Engine* engine_;
   std::string name_;
   trace::TraceBus* bus_ = nullptr;
   int trace_device_ = -1;
   trace::Lane trace_lane_ = trace::Lane::kCompute;
-  Condition* last_done_ = nullptr;
   std::function<TimeSec()> stall_probe_;
-  // Deque for pointer stability: Push hands out Condition* for the stream's
-  // lifetime. Direct storage (no unique_ptr) — one allocation per deque
-  // block, not per op.
-  std::deque<Condition> conditions_;
+  // Deque for pointer stability: ops and their conditions are addressed by
+  // pointer. Direct storage — one allocation per deque block, not per op.
+  std::deque<Op> records_;
+  Op* head_ = nullptr;  // oldest live op
+  Op* tail_ = nullptr;  // newest live op
+  Op* free_ = nullptr;  // recycled records
+  Condition* last_done_ = nullptr;  // the newest op's, until reclaimed
   TimeSec busy_time_ = 0.0;
   TimeSec last_completion_ = 0.0;
   int64_t ops_completed_ = 0;

@@ -87,6 +87,29 @@ TEST(PolicyTable, FromStringRejectsMalformed) {
   EXPECT_FALSE(PolicyTable::FromString("keep").ok());       // word, not RLE
 }
 
+TEST(PolicyTable, FromStringRejectsHostileIndices) {
+  // An index past INT_MAX used to throw out of std::stoi; a range ending at
+  // INT_MAX overflowed the fill loop's counter; a two-billion-layer range
+  // allocated 2 GB before the coverage check ran. Each is now a Status.
+  for (const char* hostile :
+       {"r99999999999", "r0-99999999999", "r0-2147483647", "r0-2000000000",
+        "r0-3,k4-2147483647"}) {
+    const auto parsed = PolicyTable::FromString(hostile);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << hostile;
+  }
+}
+
+TEST(PolicyTable, FromStringBoundsTheTableLength) {
+  const int max = PolicyTable::kMaxLayers;
+  EXPECT_GT(max, 1030);  // ResNet1K, the deepest model in the zoo
+  const auto longest =
+      PolicyTable::FromString("r0-" + std::to_string(max - 1));
+  ASSERT_TRUE(longest.ok()) << longest.status();
+  EXPECT_EQ(longest.value().num_layers(), max);
+  EXPECT_EQ(PolicyTable::FromString("r0-" + std::to_string(max)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Per-layer cost accounting + greedy dominance
 // ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ TEST(DeviceMemory, LruVictimOrder) {
   mem.AddResident(1, 300);
   mem.AddResident(2, 300);
   mem.Touch(0);  // 0 becomes most recently used
-  const auto victims = mem.PickVictims(400);
+  std::vector<TensorId> victims;
+  mem.PickVictims(400, &victims);
   ASSERT_EQ(victims.size(), 2u);
   EXPECT_EQ(victims[0], 1);
   EXPECT_EQ(victims[1], 2);
@@ -54,7 +55,8 @@ TEST(DeviceMemory, PinnedTensorsNotEvicted) {
   mem.AddResident(0, 500);
   mem.AddResident(1, 500);
   mem.Pin(0);
-  const auto victims = mem.PickVictims(600);
+  std::vector<TensorId> victims;
+  mem.PickVictims(600, &victims);
   ASSERT_EQ(victims.size(), 1u);
   EXPECT_EQ(victims[0], 1);
   EXPECT_EQ(mem.EvictableBytes(), 500);

@@ -55,31 +55,38 @@ TEST(Condition, FireReleasesWaiters) {
   EXPECT_EQ(calls, 3);
 }
 
-TEST(Condition, WhenAllWaitsForEveryDep) {
-  Condition a, b;
-  int done = 0;
-  WhenAll({&a, nullptr, &b}, [&] { ++done; });
-  a.Fire();
-  EXPECT_EQ(done, 0);
-  b.Fire();
-  EXPECT_EQ(done, 1);
+TEST(Condition, WaitersRunInRegistrationOrder) {
+  // The first waiter is held inline and the rest in a list; firing must
+  // still run them strictly in registration order.
+  Condition c;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) c.OnFire([&order, i] { order.push_back(i); });
+  c.Fire();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(Condition, WhenAllEmptyRunsImmediately) {
-  int done = 0;
-  WhenAll({}, [&] { ++done; });
-  EXPECT_EQ(done, 1);
+TEST(Condition, ResetAllowsReuse) {
+  Condition c;
+  int calls = 0;
+  c.OnFire([&] { ++calls; });
+  c.Fire();
+  c.Reset();
+  EXPECT_FALSE(c.fired());
+  c.OnFire([&] { calls += 10; });
+  EXPECT_EQ(calls, 1);  // the old waiter is gone; the new one waits
+  c.Fire();
+  EXPECT_EQ(calls, 11);
 }
 
 TEST(Stream, ExecutesInOrder) {
   Engine e;
   Stream s(&e, "t");
   std::vector<int> order;
-  s.Push({}, [&](std::function<void()> done) {
+  s.Push(nullptr, [&](std::function<void()> done) {
     order.push_back(1);
     e.After(2.0, std::move(done));
   });
-  s.Push({}, [&](std::function<void()> done) {
+  s.Push(nullptr, [&](std::function<void()> done) {
     order.push_back(2);
     EXPECT_DOUBLE_EQ(e.now(), 2.0);  // waited for op 1
     e.After(1.0, std::move(done));
@@ -95,7 +102,7 @@ TEST(Stream, WaitsForDependencies) {
   Stream s(&e, "t");
   Condition gate;
   double started = -1;
-  s.Push({&gate}, [&](std::function<void()> done) {
+  s.Push(&gate, [&](std::function<void()> done) {
     started = e.now();
     done();
   });
@@ -104,14 +111,116 @@ TEST(Stream, WaitsForDependencies) {
   EXPECT_DOUBLE_EQ(started, 5.0);
 }
 
+TEST(Stream, OpWaitsForDepAndPreviousOp) {
+  // Op 2 starts only once both its dependency and op 1 have fired, in
+  // either order.
+  Engine e;
+  Stream s(&e, "t");
+  Condition a, b;
+  double second = -1;
+  s.Push(&a, [&](std::function<void()> done) { e.After(1.0, std::move(done)); });
+  s.Push(&b, [&](std::function<void()> done) {
+    second = e.now();
+    done();
+  });
+  e.After(2.0, [&] { b.Fire(); });
+  e.After(4.0, [&] { a.Fire(); });
+  e.Run();
+  EXPECT_DOUBLE_EQ(second, 5.0);  // a at 4.0, then op 1's 1.0
+}
+
+TEST(Stream, UngatedOpStartsAtPush) {
+  Engine e;
+  Stream s(&e, "t");
+  int started = 0;
+  s.Push(nullptr, [&](std::function<void()> done) {
+    ++started;
+    done();
+  });
+  EXPECT_EQ(started, 1);  // no dependency, idle stream: runs inside Push
+}
+
+TEST(Stream, PreFiredDepStartsAtPush) {
+  Engine e;
+  Stream s(&e, "t");
+  Condition gate;
+  gate.Fire();
+  int started = 0;
+  s.Push(&gate, [&](std::function<void()> done) {
+    ++started;
+    done();
+  });
+  EXPECT_EQ(started, 1);
+}
+
+TEST(Condition, ReentrantFireFromWaiter) {
+  // A waiter of `a` fires `b`; an op gated on `b` queued behind an op gated
+  // on `a` must start exactly once, inside a.Fire(), with both conditions
+  // observably fired.
+  Engine e;
+  Stream s(&e, "t");
+  Condition a, b;
+  int started = 0;
+  a.OnFire([&] { b.Fire(); });
+  s.Push(&a, [&](std::function<void()> done) { done(); });
+  s.Push(&b, [&](std::function<void()> done) {
+    EXPECT_TRUE(a.fired());
+    EXPECT_TRUE(b.fired());
+    ++started;
+    done();
+  });
+  a.Fire();
+  EXPECT_EQ(started, 1);
+}
+
+TEST(Condition, WaiterRegisteredDuringFireRunsImmediately) {
+  // OnFire called from within a waiter (the condition is mid-Fire, fired_
+  // already set) must run synchronously, not be lost.
+  Condition a;
+  int inner = 0;
+  a.OnFire([&] { a.OnFire([&] { ++inner; }); });
+  a.Fire();
+  EXPECT_EQ(inner, 1);
+}
+
 TEST(Stream, PushDelayOccupiesStream) {
   Engine e;
   Stream s(&e, "t");
-  s.PushDelay({}, 1.0);
-  Condition* done = s.PushDelay({}, 2.0);
+  s.PushDelay(nullptr, 1.0);
+  bool fired = false;
+  s.PushDelay(nullptr, 2.0)->OnFire([&] { fired = true; });
   e.Run();
-  EXPECT_TRUE(done->fired());
+  EXPECT_TRUE(fired);
   EXPECT_DOUBLE_EQ(s.busy_time(), 3.0);
+}
+
+TEST(Stream, RecordsBoundedByOpsInFlight) {
+  // 100k ops through one stream, at most kWindow in flight: each completion
+  // pushes the next op. Fired records are recycled, so the stream's record
+  // storage tracks the window, not the number of ops pushed.
+  constexpr int kOps = 100000;
+  constexpr int kWindow = 8;
+  Engine e;
+  Stream s(&e, "t");
+  int pushed = 0;
+  size_t max_in_flight = 0;
+  std::function<void()> push_one = [&] {
+    ++pushed;
+    max_in_flight = std::max<size_t>(
+        max_in_flight, static_cast<size_t>(pushed - s.ops_completed()));
+    s.Push(nullptr, [&](std::function<void()> done) {
+       e.After(1e-3, std::move(done));
+     })->OnFire([&] {
+      if (pushed < kOps) push_one();
+    });
+  };
+  for (int i = 0; i < kWindow; ++i) push_one();
+  e.Run();
+  EXPECT_EQ(s.ops_completed(), kOps);
+  EXPECT_EQ(max_in_flight, static_cast<size_t>(kWindow));
+  // The firing op's record is reclaimed only after its waiters ran, so the
+  // push made from its waiter needs one more.
+  EXPECT_LE(s.op_records(), static_cast<size_t>(kWindow) + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -362,75 +471,6 @@ TEST(Engine, EventsScheduledMidRunKeepFifoOrder) {
   EXPECT_EQ(log[1].second, 3);
   EXPECT_EQ(log[2].second, 4);
   EXPECT_EQ(log[3].second, 5);
-}
-
-// ---------------------------------------------------------------------------
-// Condition / WhenAll edge cases
-// ---------------------------------------------------------------------------
-
-TEST(Condition, WhenAllNullOnlyDepsRunsImmediately) {
-  int done = 0;
-  WhenAll({nullptr, nullptr, nullptr}, [&] { ++done; });
-  EXPECT_EQ(done, 1);
-}
-
-TEST(Condition, WhenAllAllPreFiredRunsImmediately) {
-  Condition a, b;
-  a.Fire();
-  b.Fire();
-  int done = 0;
-  WhenAll({&a, &b}, [&] { ++done; });
-  EXPECT_EQ(done, 1);
-}
-
-TEST(Condition, WhenAllSingleUnfiredDepFastPath) {
-  Condition a, b, c;
-  a.Fire();
-  c.Fire();
-  int done = 0;
-  WhenAll({&a, &b, &c}, [&] { ++done; });
-  EXPECT_EQ(done, 0);
-  b.Fire();
-  EXPECT_EQ(done, 1);
-}
-
-TEST(Condition, ReentrantFireFromWaiter) {
-  // A waiter of `a` fires `b`; a WhenAll joins both. The join's completion
-  // runs inside a.Fire()'s waiter loop and must run exactly once, with both
-  // conditions observably fired.
-  Condition a, b;
-  int done = 0;
-  a.OnFire([&] { b.Fire(); });
-  WhenAll({&a, &b}, [&] {
-    EXPECT_TRUE(a.fired());
-    EXPECT_TRUE(b.fired());
-    ++done;
-  });
-  a.Fire();
-  EXPECT_EQ(done, 1);
-}
-
-TEST(Condition, WaiterRegisteredDuringFireRunsImmediately) {
-  // OnFire called from within a waiter (the condition is mid-Fire, fired_
-  // already set) must run synchronously, not be lost.
-  Condition a;
-  int inner = 0;
-  a.OnFire([&] { a.OnFire([&] { ++inner; }); });
-  a.Fire();
-  EXPECT_EQ(inner, 1);
-}
-
-TEST(Condition, WhenAllGuardOutlivesImmediateCompletion) {
-  // Guard-lifetime regression: when the last dependency fires synchronously
-  // inside WhenAll's own registration pass, the internal barrier must stay
-  // alive until the callback finishes (self-deletion, no use-after-free;
-  // fails under ASan if the guard dies early).
-  Condition a;
-  Condition* pa = &a;
-  int done = 0;
-  a.Fire();
-  WhenAll({pa, pa}, [&] { ++done; });  // duplicate, both already fired
-  EXPECT_EQ(done, 1);
 }
 
 // ---------------------------------------------------------------------------

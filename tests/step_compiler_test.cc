@@ -93,17 +93,17 @@ void CheckInvariants(const Compiled& c) {
       ASSERT_GE(s.task, 0);
       ASSERT_LT(s.task, c.graph.num_tasks());
       std::set<TensorId> needed;
-      for (const NeedSpec& n : s.needs) {
+      for (const NeedSpec& n : p.needs(s)) {
         ASSERT_GE(n.id, 0);
         ASSERT_LT(n.id, p.tensors.size());
-        EXPECT_GT(n.bytes, 0) << DebugString(s, p.tensors);
+        EXPECT_GT(n.bytes, 0) << DebugString(s, p);
         needed.insert(n.id);
       }
-      for (const ProduceSpec& pr : s.produces)
-        EXPECT_GT(pr.bytes, 0) << DebugString(s, p.tensors);
+      for (const ProduceSpec& pr : p.produces(s))
+        EXPECT_GT(pr.bytes, 0) << DebugString(s, p);
       // A step may only consume (deref) tensors it declared as needs.
-      for (const TensorId d : s.derefs)
-        EXPECT_TRUE(needed.count(d)) << DebugString(s, p.tensors);
+      for (const TensorId d : p.derefs(s))
+        EXPECT_TRUE(needed.count(d)) << DebugString(s, p);
     }
   }
   for (const auto& proc : p.cpu_steps) {
@@ -146,13 +146,13 @@ TEST(StepCompiler, Bert96PpGoldenSteps) {
   const StepProgram& p = Bert96Pp().program;
   // First forward steps on device 0: weights + boundary activation in,
   // next activation out, input consumed.
-  EXPECT_EQ(DebugString(p.steps[0][0], p.tensors),
+  EXPECT_EQ(DebugString(p.steps[0][0], p),
             "t0 needs=[W[L0,o0]:127115264 A[L0,b0,o0]:8192] "
             "produces=[A[L1,b0,o0]:8388608] derefs=[A[L0,b0,o0]]");
-  EXPECT_EQ(DebugString(p.steps[0][1], p.tensors),
+  EXPECT_EQ(DebugString(p.steps[0][1], p),
             "t0 needs=[W[L1,o0]:50384896 A[L1,b0,o0]:8388608] "
             "produces=[A[L2,b0,o0]:8388608] derefs=[A[L1,b0,o0]]");
-  EXPECT_EQ(DebugString(p.steps[0][2], p.tensors),
+  EXPECT_EQ(DebugString(p.steps[0][2], p),
             "t0 needs=[W[L2,o0]:50384896 A[L2,b0,o0]:8388608] "
             "produces=[A[L3,b0,o0]:8388608] derefs=[A[L2,b0,o0]]");
   // Last backward step on device 0: the final microbatch's first layer of
@@ -160,8 +160,8 @@ TEST(StepCompiler, Bert96PpGoldenSteps) {
   // the CPU optimizer.
   const Step& last = p.steps[0].back();
   EXPECT_EQ(last.task, 4);
-  ASSERT_EQ(last.move_to_host.size(), 34u);
-  const std::string rendered = DebugString(last, p.tensors);
+  ASSERT_EQ(p.move_to_host(last).size(), 34u);
+  const std::string rendered = DebugString(last, p);
   EXPECT_EQ(rendered.substr(0, rendered.find(" move=")),
             "t4 needs=[W[L65,o0]:50384896 G[L65,o0]:50384896 "
             "S[L65,b4,o0]:150994944 dA[L66,b4,o0]:8388608] "
@@ -174,7 +174,7 @@ TEST(StepCompiler, Bert96PpGoldenSteps) {
   EXPECT_EQ(cpu.wait_tasks, std::vector<int>{4});
   ASSERT_EQ(cpu.host_needs.size(), 34u);
   EXPECT_EQ(cpu.host_needs, cpu.host_frees);
-  EXPECT_EQ(DebugString(cpu, p.tensors).substr(0, 30), "t7 cpu host_needs=[G[L65,o0] G");
+  EXPECT_EQ(DebugString(cpu, p).substr(0, 30), "t7 cpu host_needs=[G[L65,o0] G");
 }
 
 TEST(StepCompiler, Bert96PpInvariants) { CheckInvariants(Bert96Pp()); }
@@ -204,18 +204,18 @@ TEST(StepCompiler, Gpt2PpGoldenShape) {
 
 TEST(StepCompiler, Gpt2PpGoldenSteps) {
   const StepProgram& p = Gpt2Pp().program;
-  EXPECT_EQ(DebugString(p.steps[0][0], p.tensors),
+  EXPECT_EQ(DebugString(p.steps[0][0], p),
             "t0 needs=[W[L0,o0]:328198400 A[L0,b0,o0]:16384] "
             "produces=[A[L1,b0,o0]:26214400] derefs=[A[L0,b0,o0]]");
-  EXPECT_EQ(DebugString(p.steps[0][1], p.tensors),
+  EXPECT_EQ(DebugString(p.steps[0][1], p),
             "t0 needs=[W[L1,o0]:122963200 A[L1,b0,o0]:26214400] "
             "produces=[A[L2,b0,o0]:26214400] derefs=[A[L1,b0,o0]]");
-  EXPECT_EQ(DebugString(p.steps[0][2], p.tensors),
+  EXPECT_EQ(DebugString(p.steps[0][2], p),
             "t0 needs=[W[L2,o0]:122963200 A[L2,b0,o0]:26214400] "
             "produces=[A[L3,b0,o0]:26214400] derefs=[A[L2,b0,o0]]");
   const Step& last = p.steps[0].back();
   EXPECT_EQ(last.task, 8);
-  EXPECT_EQ(last.move_to_host.size(), 9u);
+  EXPECT_EQ(p.move_to_host(last).size(), 9u);
   const CpuStep& cpu = p.cpu_steps[0][0];
   EXPECT_EQ(cpu.task, 10);
   EXPECT_EQ(cpu.wait_tasks, std::vector<int>{4});
@@ -241,13 +241,13 @@ TEST(StepCompiler, CompileIsDeterministic) {
   for (size_t d = 0; d < a.program.steps.size(); ++d) {
     ASSERT_EQ(a.program.steps[d].size(), b.program.steps[d].size());
     for (size_t i = 0; i < a.program.steps[d].size(); ++i)
-      EXPECT_EQ(DebugString(a.program.steps[d][i], a.program.tensors),
-                DebugString(b.program.steps[d][i], b.program.tensors));
+      EXPECT_EQ(DebugString(a.program.steps[d][i], a.program),
+                DebugString(b.program.steps[d][i], b.program));
   }
   for (size_t d = 0; d < a.program.cpu_steps.size(); ++d)
     for (size_t i = 0; i < a.program.cpu_steps[d].size(); ++i)
-      EXPECT_EQ(DebugString(a.program.cpu_steps[d][i], a.program.tensors),
-                DebugString(b.program.cpu_steps[d][i], b.program.tensors));
+      EXPECT_EQ(DebugString(a.program.cpu_steps[d][i], a.program),
+                DebugString(b.program.cpu_steps[d][i], b.program));
   EXPECT_EQ(a.program.ref_counts, b.program.ref_counts);
   EXPECT_EQ(a.program.static_host_bytes, b.program.static_host_bytes);
 }

@@ -283,6 +283,30 @@ TEST(Wire, PlanResponseRoundTrips) {
                   serve::PlanResponseFromJson);
 }
 
+TEST(Wire, PlanResponseWithHostilePolicyIsADecodeFailure) {
+  // A peer reply (or disk file) is untrusted: a policy string whose indices
+  // overflow or whose table would be enormous must fail the decode with a
+  // Status, never throw or allocate the table.
+  PlanResponse ok;
+  ok.config.u_fwd = ok.config.u_bwd = 2;
+  ok.config.fwd_packs = {{0, 9}, {10, 18}};
+  ok.config.bwd_packs = {{0, 18}, {19, 27}};
+  ok.config.policy = model::PolicyTable::Uniform(28, model::StashPolicy::kRecompute);
+  const std::string good = serve::PlanResponseToJson(ok).Dump();
+  const std::string table = "\"policy\":\"r0-27\"";
+  const size_t at = good.find(table);
+  ASSERT_NE(at, std::string::npos) << good;
+  for (const char* hostile : {"r99999999999", "r0-2147483647", "r0-2000000000"}) {
+    std::string reply = good;
+    reply.replace(at, table.size(), "\"policy\":\"" + std::string(hostile) + "\"");
+    const auto parsed = json::Parse(reply);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    EXPECT_EQ(serve::PlanResponseFromJson(parsed.value()).status().code(),
+              StatusCode::kInvalidArgument)
+        << hostile;
+  }
+}
+
 TEST(Wire, CacheGetRequestRoundTrips) {
   serve::CacheGetRequest get;
   get.fingerprint = 0x5161815ad1542bc2ull;
