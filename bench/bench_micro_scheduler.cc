@@ -142,9 +142,10 @@ BENCHMARK(BM_RuntimeExecution_Gpt2)->Arg(16)->Unit(benchmark::kMillisecond);
 /// steady population of ~40 concurrent flows — per-GPU swap-in + swap-out
 /// streams behind 4:1-oversubscribed switch uplinks plus same-switch and
 /// cross-switch p2p pairs — where every completion immediately launches a
-/// replacement flow. Each of the ~2.4k starts/completions triggers a full
-/// max-min recompute over the whole population, which is exactly
-/// FlowNetwork's hot path during a swap-saturated Harmony iteration.
+/// replacement flow. Each instant in which flows complete (and their
+/// replacements start) triggers one max-min recompute over the whole
+/// population, which is exactly FlowNetwork's hot path during a
+/// swap-saturated Harmony iteration.
 void FlowContentionOnce() {
   sim::Engine e;
   const hw::MachineSpec m = hw::MachineSpec::Commodity8Gpu();

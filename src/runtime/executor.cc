@@ -228,16 +228,22 @@ void Executor::AdvanceCpu(int d) {
   auto retry = [this, d]() { AdvanceCpu(d); };
 
   // Wait for producing (and, without jit, all) backward tasks first; then
-  // re-check that every gradient actually has a final host copy — an early
+  // check that every gradient actually has a final host copy — an early
   // eviction can put a *partial* gradient on host, so the host check only
-  // counts once the producers are done.
-  for (int task : s.wait_tasks) {
+  // counts once the producers are done. Both conditions are monotone (a
+  // finished task never un-finishes, and once its producers are done a
+  // gradient's host copy is released only by this step), so each wake
+  // resumes at the cursor where the last one stopped.
+  CpuCursor& at = cpu_cursor_[d];
+  for (; at.wait < s.wait_tasks.size(); ++at.wait) {
+    const int task = s.wait_tasks[at.wait];
     if (task_steps_remaining_[task] != 0) {
       WhenTaskComplete(task, retry);
       return;
     }
   }
-  for (const TensorId k : s.host_needs) {
+  for (; at.host < s.host_needs.size(); ++at.host) {
+    const TensorId k = s.host_needs[at.host];
     if (!residency_->HostReady(k)) {
       residency_->AddHostWaiter(k, retry);
       return;
@@ -258,6 +264,7 @@ void Executor::AdvanceCpu(int d) {
         }
         OnTaskStepDone(step.task);
         ++cpu_next_[d];
+        cpu_cursor_[d] = {};
         AdvanceCpu(d);
       });
 }
@@ -391,6 +398,7 @@ Result<RunMetrics> Executor::Run() {
   steps_done_.assign(N, 0);
   issue_busy_.assign(N, false);
   cpu_next_.assign(N, 0);
+  cpu_cursor_.assign(N, {});
   issue_window_ = graph_.flags.prefetch ? 2 : 0;
 
   task_steps_remaining_ = program_.task_step_counts;

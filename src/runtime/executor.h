@@ -102,6 +102,14 @@ class Executor {
   std::vector<size_t> issue_next_, steps_done_;
   std::vector<bool> issue_busy_;
   std::vector<size_t> cpu_next_;
+  /// How far device d's current CPU step has been found ready: its first
+  /// `wait` wait_tasks are complete and its first `host` host_needs have a
+  /// final host copy. Reset when the step completes.
+  struct CpuCursor {
+    size_t wait = 0;
+    size_t host = 0;
+  };
+  std::vector<CpuCursor> cpu_cursor_;
   int issue_window_ = 2;
 
   std::vector<int> task_steps_remaining_;

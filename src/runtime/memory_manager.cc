@@ -27,29 +27,33 @@ std::string TensorKey::ToString() const {
 }
 
 DeviceMemory::DeviceMemory(Bytes capacity, int num_tensors)
-    : capacity_(capacity), entries_(num_tensors) {
+    : capacity_(capacity),
+      entries_(new Entry[num_tensors]),  // default-initialised: not filled
+      resident_bits_((static_cast<size_t>(num_tensors) + 63) / 64, 0) {
   HARMONY_CHECK_GT(capacity, 0);
 }
 
 void DeviceMemory::AddResident(TensorId id, Bytes bytes) {
   HARMONY_CHECK_GE(bytes, 0);
-  Entry& e = entries_[id];
-  HARMONY_CHECK(!e.resident) << "tensor " << id << " already resident";
+  HARMONY_CHECK(!IsResident(id)) << "tensor " << id << " already resident";
   HARMONY_CHECK_LE(bytes, free_bytes())
       << "allocation without space for tensor " << id;
+  // Every field is written: the entry may hold a former residency's values
+  // or never have been written at all.
+  Entry& e = entries_[id];
   e.bytes = bytes;
-  e.pins = 0;
   e.lru = ++clock_;
-  e.resident = true;
+  e.pins = 0;
   e.list_pos = static_cast<int>(resident_list_.size());
+  SetResidentBit(id, true);
   resident_list_.push_back(id);
   used_ += bytes;
   peak_used_ = std::max(peak_used_, used_);
 }
 
 void DeviceMemory::RemoveResident(TensorId id) {
+  HARMONY_CHECK(IsResident(id)) << "tensor " << id << " not resident";
   Entry& e = entries_[id];
-  HARMONY_CHECK(e.resident) << "tensor " << id << " not resident";
   used_ -= e.bytes;
   // Swap-remove from the compact list; fix the moved entry's back-pointer.
   const int pos = e.list_pos;
@@ -57,25 +61,24 @@ void DeviceMemory::RemoveResident(TensorId id) {
   resident_list_[pos] = moved;
   entries_[moved].list_pos = pos;
   resident_list_.pop_back();
-  e.resident = false;
-  e.list_pos = -1;
+  SetResidentBit(id, false);
 }
 
 void DeviceMemory::Touch(TensorId id) {
+  HARMONY_CHECK(IsResident(id)) << "touch of non-resident tensor " << id;
   Entry& e = entries_[id];
-  HARMONY_CHECK(e.resident) << "touch of non-resident tensor " << id;
   e.lru = ++clock_;
 }
 
 void DeviceMemory::Pin(TensorId id) {
+  HARMONY_CHECK(IsResident(id)) << "pin of non-resident tensor " << id;
   Entry& e = entries_[id];
-  HARMONY_CHECK(e.resident) << "pin of non-resident tensor " << id;
   ++e.pins;
 }
 
 void DeviceMemory::Unpin(TensorId id) {
+  HARMONY_CHECK(IsResident(id)) << "unpin of non-resident tensor " << id;
   Entry& e = entries_[id];
-  HARMONY_CHECK(e.resident) << "unpin of non-resident tensor " << id;
   HARMONY_CHECK_GT(e.pins, 0) << "unpin of unpinned tensor " << id;
   --e.pins;
 }

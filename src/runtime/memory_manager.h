@@ -2,6 +2,7 @@
 #define HARMONY_RUNTIME_MEMORY_MANAGER_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,12 @@ namespace harmony::runtime {
 /// Tensors are addressed by the program's dense TensorId: all per-tensor
 /// state lives in an id-indexed array (no tree lookups on the hot path), and
 /// a compact list of resident ids backs the eviction scans.
+///
+/// Set-up cost follows the tensors a device actually holds, not the catalog:
+/// residency is one bit per tensor, and the id-indexed entry array is left
+/// uninitialised. AddResident writes every field of an entry, and no field
+/// is read unless the tensor's bit is set, so the pages of a catalog-sized
+/// array are touched only where a tensor becomes resident.
 class DeviceMemory {
  public:
   /// `num_tensors` is the program catalog size; ids passed to every other
@@ -43,9 +50,11 @@ class DeviceMemory {
   /// Removes a resident tensor, releasing its bytes.
   void RemoveResident(TensorId id);
 
-  bool IsResident(TensorId id) const { return entries_[id].resident; }
+  bool IsResident(TensorId id) const {
+    return (resident_bits_[id >> 6] >> (id & 63)) & 1;
+  }
   Bytes ResidentBytes(TensorId id) const {
-    return entries_[id].resident ? entries_[id].bytes : 0;
+    return IsResident(id) ? entries_[id].bytes : 0;
   }
 
   /// LRU bump.
@@ -54,7 +63,7 @@ class DeviceMemory {
   void Pin(TensorId id);
   void Unpin(TensorId id);
   bool IsPinned(TensorId id) const {
-    return entries_[id].resident && entries_[id].pins > 0;
+    return IsResident(id) && entries_[id].pins > 0;
   }
 
   /// Replaces `*victims` with the least-recently-used unpinned tensors whose
@@ -69,20 +78,31 @@ class DeviceMemory {
   int num_resident() const { return static_cast<int>(resident_list_.size()); }
 
  private:
+  /// Valid only while the tensor's resident bit is set; deliberately
+  /// trivial, so the array holding it is allocated without being filled.
   struct Entry {
-    Bytes bytes = 0;
-    int pins = 0;
-    int64_t lru = 0;
-    bool resident = false;
-    int list_pos = -1;  // index into resident_list_ (swap-remove)
+    Bytes bytes;
+    int64_t lru;
+    int pins;
+    int list_pos;  // index into resident_list_ (swap-remove)
   };
+
+  void SetResidentBit(TensorId id, bool on) {
+    const uint64_t bit = uint64_t{1} << (id & 63);
+    if (on) {
+      resident_bits_[id >> 6] |= bit;
+    } else {
+      resident_bits_[id >> 6] &= ~bit;
+    }
+  }
 
   Bytes capacity_;
   Bytes used_ = 0;
   Bytes pressure_ = 0;  // injected-fault capacity reserve
   Bytes peak_used_ = 0;
   int64_t clock_ = 0;
-  std::vector<Entry> entries_;         // indexed by TensorId
+  std::unique_ptr<Entry[]> entries_;     // indexed by TensorId
+  std::vector<uint64_t> resident_bits_;  // one bit per TensorId
   std::vector<TensorId> resident_list_;  // compact; order arbitrary
   // PickVictims' sort scratch, reused across calls.
   mutable std::vector<std::pair<int64_t, TensorId>> candidates_;

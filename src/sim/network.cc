@@ -14,6 +14,7 @@ FlowNetwork::FlowNetwork(Engine* engine, std::vector<BytesPerSec> link_capacitie
       residual_(capacities_.size(), 0.0),
       nflows_(capacities_.size(), 0) {
   for (BytesPerSec c : capacities_) HARMONY_CHECK_GT(c, 0.0);
+  fill_links_.reserve(capacities_.size());
 }
 
 int64_t FlowNetwork::StartFlow(const std::vector<int>& path, Bytes bytes,
@@ -67,7 +68,7 @@ int64_t FlowNetwork::StartFlow(const std::vector<int>& path, Bytes bytes,
   active_.push_back(slot);
   for (int link : path) link_flows_[link].push_back(slot);
 
-  RecomputeRates();
+  MarkRatesStale();
   return id;
 }
 
@@ -81,8 +82,21 @@ void FlowNetwork::SetLinkCapacityFactor(int link, double factor) {
   const double clamped = std::max(factor, kMinFactor);
   const BytesPerSec target = base_capacities_[link] * clamped;
   if (target == capacities_[link]) return;
+  FlushRates();
   AdvanceToNow();
   capacities_[link] = target;
+  RecomputeRates();
+}
+
+void FlowNetwork::MarkRatesStale() {
+  if (rates_stale_) return;
+  rates_stale_ = true;
+  engine_->After(0.0, [this]() { FlushRates(); });
+}
+
+void FlowNetwork::FlushRates() {
+  if (!rates_stale_) return;
+  rates_stale_ = false;
   RecomputeRates();
 }
 
@@ -101,10 +115,15 @@ void FlowNetwork::AdvanceToNow() {
 void FlowNetwork::RecomputeRates() {
   // Progressive filling (max-min fairness): repeatedly saturate the most
   // constrained link, freezing the rates of the flows that traverse it.
-  // All scratch (residual_, nflows_, frozen_epoch_) is reused; the only
-  // per-round work is an O(links) scan plus the flows actually frozen.
-  residual_.assign(capacities_.begin(), capacities_.end());
+  // All scratch (residual_, nflows_, fill_links_, frozen_epoch_) is reused;
+  // the only per-round work is a scan of the links still carrying unfrozen
+  // flows plus the flows actually frozen.
+  ++rate_recomputes_;
+  fill_links_.clear();
   for (size_t l = 0; l < link_flows_.size(); ++l) {
+    if (link_flows_[l].empty()) continue;
+    fill_links_.push_back(static_cast<int>(l));
+    residual_[l] = capacities_[l];
     nflows_[l] = static_cast<int>(link_flows_[l].size());
   }
   ++fill_epoch_;
@@ -112,15 +131,15 @@ void FlowNetwork::RecomputeRates() {
   double min_dt = std::numeric_limits<double>::infinity();
   double prev_share = 0.0;
   while (unfrozen > 0) {
-    // The binding link is the one offering the least residual share per flow.
+    // The binding link is the one offering the least residual share per
+    // flow; the ascending scan makes the lowest link id win ties.
     double best_share = std::numeric_limits<double>::infinity();
     int best_link = -1;
-    for (size_t l = 0; l < residual_.size(); ++l) {
-      if (nflows_[l] == 0) continue;
+    for (int l : fill_links_) {
       const double share = residual_[l] / nflows_[l];
       if (share < best_share) {
         best_share = share;
-        best_link = static_cast<int>(l);
+        best_link = l;
       }
     }
     HARMONY_CHECK_GE(best_link, 0);
@@ -149,8 +168,15 @@ void FlowNetwork::RecomputeRates() {
         --nflows_[link];
       }
     }
-    // Numerical safety: residual can go slightly negative from fp error.
-    for (double& r : residual_) r = std::max(r, 0.0);
+    // Drop links with no unfrozen flow left (keeping ascending order), and
+    // clamp the rest: residual can go slightly negative from fp error.
+    size_t keep = 0;
+    for (int l : fill_links_) {
+      if (nflows_[l] == 0) continue;
+      residual_[l] = std::max(residual_[l], 0.0);
+      fill_links_[keep++] = l;
+    }
+    fill_links_.resize(keep);
   }
 
   if (active_.empty()) {
@@ -172,6 +198,10 @@ void FlowNetwork::RecomputeRates() {
 }
 
 void FlowNetwork::OnWakeup() {
+  // A flow started (or drained) earlier in this instant left the rates and
+  // the projection stale; bring them up to date while this wakeup still
+  // counts as pending, exactly as an immediate recompute would have seen it.
+  FlushRates();
   // Pending wakeups fire earliest-first, and the earliest is the back.
   armed_times_.pop_back();
   if (active_.empty()) return;
@@ -209,7 +239,9 @@ void FlowNetwork::OnWakeup() {
     }
   }
   active_.resize(keep);
-  RecomputeRates();
+  // Callbacks below usually start the next transfers in this same instant;
+  // one flush covers the drain and those starts.
+  MarkRatesStale();
   for (Finished& f : done_scratch_) {
     EmitFlowEnd(f.bytes);
     f.done();

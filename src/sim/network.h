@@ -15,9 +15,16 @@ namespace harmony::sim {
 
 /// Fluid-flow model of a set of directed links with max-min fair bandwidth
 /// sharing. Concurrent flows traversing a common link split its capacity
-/// fairly (progressive filling); rates are recomputed whenever a flow starts
-/// or finishes. This is what turns the paper's "bottleneck PCIe link" and
-/// "4:1 oversubscription" into emergent slowdowns (Fig 2).
+/// fairly (progressive filling). This is what turns the paper's "bottleneck
+/// PCIe link" and "4:1 oversubscription" into emergent slowdowns (Fig 2).
+///
+/// Rates are recomputed once per simulated instant, not once per flow start
+/// or finish: starting a flow and draining finished ones only mark the rates
+/// stale and schedule one zero-delay flush, so a step that launches K
+/// transfers in one event pays one progressive-filling pass. Within an
+/// instant no bytes move, so deferring the pass changes no integrated
+/// progress. Every reader of the rates or of the completion projection
+/// (an early-wakeup check, SetLinkCapacityFactor) flushes first.
 ///
 /// The implementation is allocation-free on the steady-state path: flows live
 /// in reusable slots stored structure-of-arrays (remaining / rate / freeze
@@ -26,9 +33,12 @@ namespace harmony::sim {
 /// 100-byte flow structs. Each link keeps a persistent list of the flow slots
 /// traversing it, and the progressive-filling pass uses epoch-stamped freeze
 /// marks plus per-link residual/count scratch that is reused across
-/// recomputes. The projected next-completion time falls out of the fill loop
-/// itself (every flow is frozen exactly once per recompute), so no separate
-/// scan over the flow population is needed to schedule the next event.
+/// recomputes. Each fill round scans only the links that still carry
+/// unfrozen flows, in ascending link order (so ties bind the same link as a
+/// full scan would). The projected next-completion time falls out of the fill
+/// loop itself (every flow is frozen exactly once per recompute), so no
+/// separate scan over the flow population is needed to schedule the next
+/// event.
 ///
 /// Wakeup scheduling: a recompute whose projected completion is already
 /// covered by a pending (earlier-or-equal) wakeup does not enqueue a new
@@ -69,11 +79,20 @@ class FlowNetwork {
   /// covered the projected completion time.
   int64_t wakeups_suppressed() const { return wakeups_suppressed_; }
 
+  /// Progressive-filling passes run so far: one per instant in which flows
+  /// started or finished, plus those a capacity change runs.
+  int64_t rate_recomputes() const { return rate_recomputes_; }
+
  private:
   /// Integrates flow progress from `last_update_` to now.
   void AdvanceToNow();
   /// Max-min fair rate assignment + arms (or suppresses) the next wakeup.
   void RecomputeRates();
+  /// Marks the rates stale and, unless one is pending, schedules the
+  /// zero-delay flush that recomputes them once for this instant.
+  void MarkRatesStale();
+  /// Recomputes the rates now if they are stale.
+  void FlushRates();
   /// Fires when a wakeup lands: early wakeups re-arm at the stored
   /// projection; on-time ones drain finished flows, reassign rates, then fire
   /// callbacks in flow-id order (matching the pre-slot std::map iteration
@@ -107,9 +126,12 @@ class FlowNetwork {
 
   // Progressive-filling scratch, reused across recomputes (no per-recompute
   // allocation). `frozen_epoch_[slot] == fill_epoch_` marks a frozen flow;
-  // bumping the epoch invalidates all marks in O(1).
+  // bumping the epoch invalidates all marks in O(1). `fill_links_` holds the
+  // links that still carry unfrozen flows, ascending; residual_ and nflows_
+  // are meaningful only for those.
   std::vector<double> residual_;
   std::vector<int> nflows_;
+  std::vector<int> fill_links_;
   std::vector<uint32_t> frozen_epoch_;
   uint32_t fill_epoch_ = 0;
   struct Finished {
@@ -129,6 +151,11 @@ class FlowNetwork {
   std::vector<TimeSec> armed_times_;
   TimeSec next_completion_time_ = 0.0;
   int64_t wakeups_suppressed_ = 0;
+
+  // Set by a flow start or drain; cleared by the flush that recomputes the
+  // rates (pending whenever this is set).
+  bool rates_stale_ = false;
+  int64_t rate_recomputes_ = 0;
 };
 
 /// Maps a MachineSpec's PCIe tree onto FlowNetwork link ids and provides the

@@ -7,9 +7,16 @@
 //    residual hits 0.0 through repeated floating-point subtraction used to
 //    freeze a flow at rate 0 and abort in ScheduleNextCompletion; the binding
 //    share is now clamped to a positive floor (monotone in the fill rounds).
+//  * Once-per-instant recompute: flow starts and drains only mark the rates
+//    stale, and one zero-delay flush per simulated instant runs progressive
+//    filling. The completion times are bit patterns recorded from the
+//    former recompute-on-every-start-and-finish network, so deferring the
+//    pass is pinned to change no timestamp.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "hw/machine.h"
@@ -142,6 +149,116 @@ TEST(FlowNetworkRates, ManyFlowsSaturatingOneLink) {
   const double expected = 49.0 * static_cast<double>(MiB(64)) / GiBps(10);
   EXPECT_NEAR(last, expected, 1e-6);
   EXPECT_LT(e.events_processed(), 300);
+}
+
+// ---------------------------------------------------------------------------
+// Once-per-instant recompute
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double d) {
+  uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+TEST(FlowNetworkFlush, KFlowsStartedInOneEventRecomputeOnce) {
+  // Twelve flows contend on the 8-GPU tree, all started by one event: four
+  // swap-ins behind switch 0's uplink, four swap-outs from switch 1 and four
+  // cross-switch p2p transfers, each a different size so the drains cascade
+  // over distinct instants.
+  Engine e;
+  const hw::MachineSpec m = hw::MachineSpec::Commodity8Gpu();
+  const Interconnect net(m);
+  FlowNetwork flows(&e, net.capacities());
+  constexpr int kFlows = 12;
+  std::vector<double> done(kFlows, -1);
+  int64_t after_starts = -1;
+  int64_t after_flush = -1;
+  e.At(0.5, [&] {
+    for (int i = 0; i < kFlows; ++i) {
+      const std::vector<int>& path = i < 4   ? net.SwapInPath(i)
+                                     : i < 8 ? net.SwapOutPath(i)
+                                             : net.P2pPath(i - 8, i - 4);
+      flows.StartFlow(path, MiB(64) * (i + 1), [&, i] { done[i] = e.now(); });
+    }
+    after_starts = flows.rate_recomputes();
+    // Queued behind the flush the first start scheduled.
+    e.After(0.0, [&] { after_flush = flows.rate_recomputes(); });
+  });
+  e.Run();
+  EXPECT_EQ(after_starts, 0);
+  EXPECT_EQ(after_flush, 1);
+  // One more pass per drain instant at most (every size differs, but drains
+  // landing in one instant share a pass).
+  EXPECT_LE(flows.rate_recomputes(), 1 + kFlows);
+  EXPECT_EQ(flows.num_active_flows(), 0);
+  const uint64_t kExpected[kFlows] = {
+      0x3fe0969696969697ull, 0x3fe1078787878788ull, 0x3fe152d2d2d2d2d3ull,
+      0x3fe1787878787879ull, 0x3fe2f0f0f0f0f0f1ull, 0x3fe361e1e1e1e1e2ull,
+      0x3fe3ad2d2d2d2d2dull, 0x3fe3d2d2d2d2d2d3ull, 0x3fe54b4b4b4b4b4bull,
+      0x3fe5bc3c3c3c3c3cull, 0x3fe6078787878788ull, 0x3fe62d2d2d2d2d2dull,
+  };
+  for (int i = 0; i < kFlows; ++i) {
+    EXPECT_EQ(Bits(done[i]), kExpected[i])
+        << "flow " << i << " done at " << done[i];
+  }
+}
+
+TEST(FlowNetworkFlush, CapacityChangeInStartInstantFlushesFirst) {
+  // A link degrades in the instant flows start on it (and a second event in
+  // that instant adds another flow), then recovers later. The change must
+  // see that instant's flows, and the completions must match the immediate
+  // per-start recompute exactly.
+  Engine e;
+  const hw::MachineSpec m = hw::MachineSpec::Commodity8Gpu();
+  const Interconnect net(m);
+  FlowNetwork flows(&e, net.capacities());
+  const int uplink = net.SwapInPath(0)[1];  // switch 0's downlink from host
+  std::vector<double> done(4, -1);
+  e.At(0.25, [&] {
+    flows.StartFlow(net.SwapInPath(0), MiB(256), [&] { done[0] = e.now(); });
+    flows.StartFlow(net.SwapInPath(1), MiB(128), [&] { done[1] = e.now(); });
+    flows.StartFlow(net.P2pPath(0, 4), MiB(192), [&] { done[2] = e.now(); });
+    flows.SetLinkCapacityFactor(uplink, 0.5);
+    EXPECT_EQ(flows.link_capacity(uplink), 0.5 * net.capacities()[uplink]);
+  });
+  e.At(0.25, [&] {
+    flows.StartFlow(net.SwapInPath(2), MiB(64), [&] { done[3] = e.now(); });
+  });
+  e.At(0.26, [&] { flows.SetLinkCapacityFactor(uplink, 1.0); });
+  e.Run();
+  const uint64_t kExpected[4] = {0x3fd260fa942dc761ull, 0x3fd1ca63fd9730cbull,
+                                 0x3fd0e1e1e1e1e1e2ull, 0x3fd133cd67009a34ull};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(Bits(done[i]), kExpected[i])
+        << "flow " << i << " done at " << done[i];
+  }
+}
+
+TEST(FlowNetworkFlush, ZeroByteFlowInStartInstant) {
+  // A zero-byte flow among real ones completes in its start instant, after
+  // the events already queued there, and costs no recompute.
+  Engine e;
+  FlowNetwork flows(&e, {10.0});
+  std::vector<int> order;
+  std::vector<double> done(3, -1);
+  e.At(1.0, [&] {
+    flows.StartFlow({0}, 100, [&] { order.push_back(0); done[0] = e.now(); });
+    flows.StartFlow({0}, 0, [&] { order.push_back(1); done[1] = e.now(); });
+    flows.StartFlow({0}, 50, [&] { order.push_back(2); done[2] = e.now(); });
+  });
+  e.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(done[1], 1.0);
+  const uint64_t kExpected[3] = {0x4030000000000000ull, 0x3ff0000000000000ull,
+                                 0x4026000000000000ull};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(Bits(done[i]), kExpected[i])
+        << "flow " << i << " done at " << done[i];
+  }
+  // The start instant and the two drain instants, one pass each.
+  EXPECT_EQ(flows.rate_recomputes(), 3);
+  EXPECT_EQ(flows.link_bytes(0), 150.0);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // These goldens were recorded before the interned-tensor-id / incremental
 // flow-network rewrite and pin the observable behaviour bit-for-bit: the
 // exact RunMetrics doubles and an FNV-1a hash over the full trace-event
-// sequence (kind, lane, device, time bits, bytes, task) of a BERT96 and a
-// GPT2 run. Any change to eviction order, fair-share rates, or tensor
+// sequence (kind, lane, device, time bits, bytes, task) of BERT96 and GPT2
+// runs. Any change to eviction order, fair-share rates, or tensor
 // lifetime decisions shifts at least one event and fails the hash — so the
 // optimizations are provably semantics-preserving, not just "close enough".
 
@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 
+#include "baselines/baselines.h"
 #include "core/packing.h"
 #include "core/scheduler.h"
 #include "model/models.h"
@@ -69,14 +70,36 @@ struct GoldenRun {
   int64_t trace_events = 0;
 };
 
+/// Executes `g` on the 4-GPU commodity server with a HashSink attached.
+GoldenRun RunGraph(const model::SequentialModel& model,
+                   const core::TaskGraph& g) {
+  HashSink sink;
+  RuntimeOptions run_opts;
+  run_opts.trace_sinks.push_back(&sink);
+  const Runtime rt(hw::MachineSpec::Commodity4Gpu(), model);
+  auto result = rt.Execute(g, run_opts);
+  HARMONY_CHECK(result.ok()) << result.status();
+
+  GoldenRun out;
+  out.metrics = std::move(result).value();
+  out.trace_hash = sink.hash();
+  out.trace_events = sink.count();
+  return out;
+}
+
+profile::ProfileDb ProfileOn4Gpu(const model::SequentialModel& model) {
+  return profile::Profiler(hw::MachineSpec::Commodity4Gpu().gpu, {})
+      .Profile(model);
+}
+
 GoldenRun RunModel(const model::LayerGraph& layer_graph, int minibatch,
                    int u, int fwd_min_packs,
                    const OptimizationFlags& flags = OptimizationFlags{},
-                   const core::PolicyTable* policy = nullptr) {
+                   const core::PolicyTable* policy = nullptr,
+                   HarmonyMode mode = HarmonyMode::kPipelineParallel) {
   const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
   const model::SequentialModel model = model::Sequentialize(layer_graph);
-  const profile::ProfileDb db =
-      profile::Profiler(machine.gpu, {}).Profile(model);
+  const profile::ProfileDb db = ProfileOn4Gpu(model);
 
   core::PackingOptions opts;
   opts.capacity = static_cast<Bytes>(machine.gpu.usable_memory() * 0.85);
@@ -90,21 +113,8 @@ GoldenRun RunModel(const model::LayerGraph& layer_graph, int minibatch,
                                      db.num_layers(),
                                      core::StashPolicy::kRecompute);
 
-  const core::TaskGraph g = core::GenerateHarmonyTaskGraph(
-      c, HarmonyMode::kPipelineParallel, 4, minibatch, flags, db);
-
-  HashSink sink;
-  RuntimeOptions run_opts;
-  run_opts.trace_sinks.push_back(&sink);
-  const Runtime rt(machine, model);
-  auto result = rt.Execute(g, run_opts);
-  HARMONY_CHECK(result.ok()) << result.status();
-
-  GoldenRun out;
-  out.metrics = std::move(result).value();
-  out.trace_hash = sink.hash();
-  out.trace_events = sink.count();
-  return out;
+  return RunGraph(model, core::GenerateHarmonyTaskGraph(c, mode, 4, minibatch,
+                                                        flags, db));
 }
 
 /// Renders the observed values as copy-pastable golden assertions (printed on
@@ -197,6 +207,56 @@ TEST(GoldenParity, ExplicitKeepTableMatchesLegacyNoRecompute) {
   EXPECT_EQ(r.trace_events, 6145);
   EXPECT_EQ(r.trace_hash, 0xa65e4d967d703009ull);
   if (HasFailure()) PrintGoldens("GPT2 pp mb16 u4 keep-all", r);
+}
+
+// ---------------------------------------------------------------------------
+// Contended and CPU-update traffic: the pipeline-parallel pins above run few
+// concurrent flows, so an error that only shows when flows share a link (or
+// in the CPU optimizer's host-copy waits) would pass them. These pin the
+// per-GPU-swap baselines, whose demand paging keeps every GPU's swap-in and
+// swap-out flows contending for the shared uplinks and host DRAM, and a
+// Harmony data-parallel run whose gradients feed just-in-time CPU updates.
+// ---------------------------------------------------------------------------
+
+TEST(GoldenParity, Bert96DpSwapContended) {
+  const model::SequentialModel model = model::Sequentialize(model::Bert96());
+  const GoldenRun r =
+      RunGraph(model, baselines::DpSwap(ProfileOn4Gpu(model), 4, 16, 2));
+  EXPECT_EQ(BitsOf(r.metrics.iteration_time), 0x4032099d162956fcull);
+  EXPECT_EQ(r.metrics.total_swap(), 316092629344);
+  EXPECT_EQ(r.metrics.evictions, 1160);
+  EXPECT_EQ(r.metrics.clean_drops, 0);
+  EXPECT_EQ(r.trace_events, 38251);
+  EXPECT_EQ(r.trace_hash, 0x816a9d35c852ab9cull);
+  if (HasFailure()) PrintGoldens("BERT96 dp-swap mb16 u2", r);
+}
+
+TEST(GoldenParity, Bert96GpSwapContended) {
+  const model::SequentialModel model = model::Sequentialize(model::Bert96());
+  const GoldenRun r =
+      RunGraph(model,
+               baselines::GpipeSwap(ProfileOn4Gpu(model), 4, 16, 2, false));
+  EXPECT_EQ(BitsOf(r.metrics.iteration_time), 0x40222398e1020bd1ull);
+  EXPECT_EQ(r.metrics.total_swap(), 115906085248);
+  EXPECT_EQ(r.metrics.evictions, 624);
+  EXPECT_EQ(r.metrics.clean_drops, 0);
+  EXPECT_EQ(r.trace_events, 17036);
+  EXPECT_EQ(r.trace_hash, 0xbe951645861dd248ull);
+  if (HasFailure()) PrintGoldens("BERT96 gp-swap mb16 u2", r);
+}
+
+TEST(GoldenParity, Gpt2DataParallelCpuUpdates) {
+  // Default flags: cpu_optimizer and jit_update on, so every replica's
+  // gradients are pushed to host and applied by per-device CPU updates.
+  const GoldenRun r = RunModel(model::Gpt2(), 16, 4, 4, OptimizationFlags{},
+                               nullptr, HarmonyMode::kDataParallel);
+  EXPECT_EQ(BitsOf(r.metrics.iteration_time), 0x402990149209b70eull);
+  EXPECT_EQ(r.metrics.total_swap(), 58566710272);
+  EXPECT_EQ(r.metrics.evictions, 0);
+  EXPECT_EQ(r.metrics.clean_drops, 116);
+  EXPECT_EQ(r.trace_events, 5241);
+  EXPECT_EQ(r.trace_hash, 0x3064548f86852b31ull);
+  if (HasFailure()) PrintGoldens("GPT2 dp mb16 u4", r);
 }
 
 }  // namespace

@@ -75,6 +75,49 @@ TEST(DeviceMemory, NestedPins) {
   EXPECT_FALSE(mem.IsPinned(0));
 }
 
+TEST(DeviceMemory, ReaddedTensorStartsUnpinnedAndYoungest) {
+  // Entries are not reset on removal: re-adding must overwrite the former
+  // residency's pins and LRU stamp.
+  DeviceMemory mem(1000, 4);
+  mem.AddResident(0, 100);
+  mem.AddResident(1, 100);
+  mem.Pin(0);
+  mem.Pin(0);
+  mem.AddResident(2, 100);
+  mem.RemoveResident(0);
+  EXPECT_FALSE(mem.IsResident(0));
+  EXPECT_FALSE(mem.IsPinned(0));
+  mem.AddResident(0, 300);
+  EXPECT_TRUE(mem.IsResident(0));
+  EXPECT_FALSE(mem.IsPinned(0));
+  EXPECT_EQ(mem.ResidentBytes(0), 300);
+  EXPECT_EQ(mem.used(), 500);
+  EXPECT_EQ(mem.EvictableBytes(), 500);
+  std::vector<TensorId> victims;
+  mem.PickVictims(1000, &victims);
+  EXPECT_EQ(victims, (std::vector<TensorId>{1, 2, 0}));
+}
+
+TEST(DeviceMemory, NeverResidentIdsReportEmpty) {
+  // A catalog large enough that the entry array is fresh mmap'd memory, with
+  // residents in different words of the resident bitset.
+  constexpr int kTensors = 100000;
+  DeviceMemory mem(GiB(1), kTensors);
+  mem.AddResident(70, 10);
+  mem.AddResident(kTensors - 1, 20);
+  mem.Pin(kTensors - 1);
+  for (TensorId id : {0, 63, 64, 69, 71, 128, kTensors - 2}) {
+    EXPECT_FALSE(mem.IsResident(id)) << id;
+    EXPECT_FALSE(mem.IsPinned(id)) << id;
+    EXPECT_EQ(mem.ResidentBytes(id), 0) << id;
+  }
+  EXPECT_TRUE(mem.IsResident(70));
+  EXPECT_TRUE(mem.IsPinned(kTensors - 1));
+  EXPECT_EQ(mem.ResidentBytes(kTensors - 1), 20);
+  EXPECT_EQ(mem.num_resident(), 2);
+  EXPECT_EQ(mem.EvictableBytes(), 10);
+}
+
 // ---------------------------------------------------------------------------
 // Full runtime
 // ---------------------------------------------------------------------------
