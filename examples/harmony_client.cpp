@@ -6,10 +6,11 @@
 //
 // As a load generator, each client thread opens its own connection and
 // issues requests back-to-back, reporting throughput and client-observed
-// latency percentiles. By default daemon rejections under backpressure are
-// counted, not retried — the point is to observe the admission policy;
-// --retries=N instead rides them out with jittered backoff (honoring the
-// server's retry-after hint), the way a production caller would:
+// latency percentiles. By default (--retries=0) daemon rejections under
+// backpressure are counted, not retried — the point is to observe the
+// admission policy; --retries=N instead rides them out with jittered
+// backoff (honoring the server's retry-after hint) and re-dials a daemon
+// that closed the connection, the way a production caller would:
 //
 //   ./build/examples/harmony_client GPT2 pp 64 --unix=/tmp/h.sock
 //       --repeat=100 --threads=8 --json
@@ -20,17 +21,20 @@
 // Against a cache tier (DESIGN.md §13), --peers=<ep>,<ep>,... replaces
 // --unix/--tcp: each request is routed to its fingerprint's ring owner, the
 // same placement the daemons use, so a tier-wide working set shards across
-// the members with no coordination:
+// the members with no coordination. A dead member is failed over; --retries
+// applies here too, with the same default of 0:
 //
 //   ./build/examples/harmony_client GPT2 pp 64
 //       --peers=unix:/run/h0.sock,unix:/run/h1.sock,unix:/run/h2.sock
+//
+// Plan requests go through one cluster::TierClient in both modes: --unix or
+// --tcp is a one-member tier.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -52,9 +56,12 @@ int Usage() {
          "   or: harmony_client (--ping | --stats | --shutdown)\n"
          "                      (--unix=<path> | --tcp=<port>) [--host=<ip>]\n"
          "   or: harmony_client (--stats | --shutdown) --peers=<ep>,...\n"
-         "  --peers  owner-route each request across a cache tier; endpoints\n"
-         "           are unix:<path> or tcp:<host>:<port>, spelled exactly as\n"
-         "           the daemons' --peers list\n"
+         "  --peers    owner-route each request across a cache tier; endpoints\n"
+         "             are unix:<path> or tcp:<host>:<port>, spelled exactly\n"
+         "             as the daemons' --peers list\n"
+         "  --retries  per request: retry load-shed replies and re-dial a\n"
+         "             daemon that closed the connection (default 0; applies\n"
+         "             to --peers too)\n"
          "  model: BERT-Large | BERT96 | GPT2 | GPT2-Medium | VGG416 |\n"
          "         ResNet1K | GPT2-<n>B\n";
   return 2;
@@ -133,6 +140,7 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
+  // One member list for both modes: --unix/--tcp is a one-member tier.
   std::vector<std::string> members;
   if (!peers_csv.empty()) {
     auto parsed = cluster::ParseMemberList(peers_csv);
@@ -141,14 +149,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     members = std::move(parsed).value();
+  } else if (!unix_path.empty()) {
+    members.push_back("unix:" + unix_path);
+  } else {
+    members.push_back("tcp:" + host + ":" + std::to_string(tcp_port));
   }
 
-  auto connect = [&](serve::ServeClient* client) {
-    return unix_path.empty() ? client->ConnectTcp(host, tcp_port)
-                             : client->ConnectUnix(unix_path);
-  };
-
-  if (!members.empty() && (do_ping || do_stats || do_shutdown)) {
+  if (!peers_csv.empty() && (do_ping || do_stats || do_shutdown)) {
     cluster::TierClient tier(members);
     if (do_ping || do_stats) {
       for (const std::string& member : members) {
@@ -170,7 +177,7 @@ int main(int argc, char** argv) {
 
   if (do_ping || do_stats || do_shutdown) {
     serve::ServeClient client;
-    const Status st = connect(&client);
+    const Status st = cluster::ConnectEndpoint(members.front(), &client);
     if (!st.ok()) {
       std::cerr << "connect failed: " << st << "\n";
       return 1;
@@ -224,8 +231,8 @@ int main(int argc, char** argv) {
   request.deadline_ms = deadline_ms;
   request.bypass_cache = bypass_cache;
 
-  // Closed loop: each thread owns a connection and keeps exactly one request
-  // outstanding, so offered concurrency == --threads.
+  // Closed loop: each thread owns its connections and keeps exactly one
+  // request outstanding, so offered concurrency == --threads.
   std::mutex mu;
   std::vector<double> latencies;  // seconds, client-observed
   int ok_count = 0, cache_hits = 0, rejected = 0, failed = 0;
@@ -237,30 +244,13 @@ int main(int argc, char** argv) {
   pool.reserve(static_cast<size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t]() {
-      // Tier mode owns its connections inside TierClient (one per member);
-      // point mode dials the single daemon up front. Tier routing already
-      // fails over past dead members, so --retries applies to point mode
-      // only (where a restart would otherwise drop the whole thread).
-      std::unique_ptr<cluster::TierClient> tier;
-      serve::ServeClient client;
-      if (!members.empty()) {
-        tier = std::make_unique<cluster::TierClient>(members);
-      } else {
-        const Status st = connect(&client);
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(mu);
-          failed += repeat;
-          return;
-        }
-      }
-      serve::ServeClient::RetryOptions retry;
+      cluster::TierRetryOptions retry;
       retry.max_retries = retries;
       retry.seed = 0x636c69656e740000ull + static_cast<uint64_t>(t);
+      cluster::TierClient tier(members, retry);
       for (int i = 0; i < repeat; ++i) {
         const auto start = Clock::now();
-        auto response = tier != nullptr ? tier->Plan(request)
-                        : retries > 0  ? client.PlanWithRetry(request, retry)
-                                       : client.Plan(request);
+        auto response = tier.Plan(request);
         const double seconds =
             std::chrono::duration<double>(Clock::now() - start).count();
         std::lock_guard<std::mutex> lock(mu);
@@ -281,7 +271,7 @@ int main(int argc, char** argv) {
         }
       }
       std::lock_guard<std::mutex> lock(mu);
-      retries_used += client.retries();
+      retries_used += tier.retries();
     });
   }
   for (std::thread& t : pool) t.join();

@@ -45,13 +45,6 @@ Result<PlanOutcome> LocalSearchPlanner::Plan(const serve::PlanRequest& request) 
   return out;
 }
 
-Result<PlanOutcome> ServePlanner::Plan(const serve::PlanRequest& request) {
-  auto response = client_->PlanWithRetry(request, retry_);
-  HARMONY_RETURN_IF_ERROR(response.status());
-  HARMONY_RETURN_IF_ERROR(response.value().status);
-  return FromResponse(response.value());
-}
-
 Result<PlanOutcome> TierPlanner::Plan(const serve::PlanRequest& request) {
   auto response = tier_->Plan(request);
   HARMONY_RETURN_IF_ERROR(response.status());

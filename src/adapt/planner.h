@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "core/config.h"
 #include "core/estimator.h"
-#include "serve/client.h"
 #include "serve/wire.h"
 
 namespace harmony::adapt {
@@ -48,25 +47,10 @@ class LocalSearchPlanner : public Planner {
   TimeSec deadline_seconds_;
 };
 
-/// Daemon-backed planning through ServeClient::PlanWithRetry: shed responses
-/// back off under the server's retry-after floor, peer restarts reconnect.
-/// The client is borrowed and must outlive the planner.
-class ServePlanner : public Planner {
- public:
-  explicit ServePlanner(serve::ServeClient* client,
-                        serve::ServeClient::RetryOptions retry = {})
-      : client_(client), retry_(retry) {}
-
-  Result<PlanOutcome> Plan(const serve::PlanRequest& request) override;
-  const char* name() const override { return "serve"; }
-
- private:
-  serve::ServeClient* client_;
-  serve::ServeClient::RetryOptions retry_;
-};
-
-/// Cluster-tier planning through TierClient: owner-routed with failover down
-/// the rendezvous ranking. The tier is borrowed and must outlive the planner.
+/// Daemon-backed planning through TierClient: owner-routed with failover
+/// down the rendezvous ranking, load-shed replies backed off and restarted
+/// daemons re-dialed. A single daemon is a one-member tier. The tier is
+/// borrowed and must outlive the planner.
 class TierPlanner : public Planner {
  public:
   explicit TierPlanner(cluster::TierClient* tier) : tier_(tier) {}

@@ -1,9 +1,11 @@
 #include "cluster/cluster.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 #include <utility>
 
+#include "common/backoff.h"
 #include "serve/plan_cache.h"
 
 namespace harmony::cluster {
@@ -96,10 +98,7 @@ Status ConnectEndpoint(const std::string& spec, serve::ServeClient* client) {
 // ---------------------------------------------------------------------------
 
 ClusterNode::ClusterNode(ClusterOptions options)
-    : options_(std::move(options)),
-      ring_(options_.vnodes_per_node),
-      rng_(options_.backoff_seed),
-      epoch_(Clock::now()) {
+    : options_(std::move(options)), rng_(0), epoch_(Clock::now()) {
   for (const std::string& member : options_.members) ring_.AddNode(member);
 }
 
@@ -205,7 +204,7 @@ std::shared_ptr<const serve::CachedPlan> ClusterNode::FetchFromOwner(
       transport = reply.status();
       peer->client.Close();  // re-dial on the next attempt
     }
-    if (attempt >= options_.peer_retries) {
+    if (attempt >= common::kPeerFetchRetries) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.peer_fill_errors;
       return nullptr;
@@ -213,7 +212,7 @@ std::shared_ptr<const serve::CachedPlan> ClusterNode::FetchFromOwner(
     double delay;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      delay = options_.backoff.DelayFor(attempt, &rng_);
+      delay = common::kPeerFetchBackoff.DelayFor(attempt, &rng_);
     }
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
   }
@@ -365,12 +364,9 @@ json::Value ClusterNode::StatsJson() const {
 // TierClient
 // ---------------------------------------------------------------------------
 
-TierClient::TierClient(std::vector<std::string> members, int vnodes_per_node)
-    : TierClient(std::move(members), vnodes_per_node, RetryOptions()) {}
-
-TierClient::TierClient(std::vector<std::string> members, int vnodes_per_node,
-                       RetryOptions retry)
-    : members_(std::move(members)), ring_(vnodes_per_node), retry_(retry) {
+TierClient::TierClient(std::vector<std::string> members,
+                       TierRetryOptions retry)
+    : members_(std::move(members)), retry_(retry) {
   for (const std::string& member : members_) ring_.AddNode(member);
 }
 
@@ -402,46 +398,56 @@ Result<serve::PlanResponse> TierClient::Plan(
     return Status::FailedPrecondition("tier has no members");
   }
   // Dead-member errors name which endpoint failed (the ServeClient layer
-  // already appends errno detail), mirroring PlanWithRetry's annotations.
+  // already appends errno detail).
   auto annotate = [](const std::string& member, const Status& s) {
     return Status(s.code(), "member " + member + ": " + s.message());
   };
   Status last = Status::Ok();
   Rng rng(retry_.seed);
-  int shed_retries = 0;
+  int attempt = 0;
   const Clock::time_point deadline =
       request.deadline_ms > 0
           ? Clock::now() + std::chrono::milliseconds(request.deadline_ms)
           : Clock::time_point::max();
+  // Sleeps before a retry of the same member; false when the budget is
+  // spent or the sleep would cross the request deadline.
+  auto back_off = [&](double floor_seconds) {
+    if (attempt >= retry_.max_retries) return false;
+    const double delay = std::max(
+        common::kPlanRetryBackoff.DelayFor(attempt, &rng), floor_seconds);
+    if (Clock::now() + std::chrono::duration<double>(delay) >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    ++attempt;
+    ++retries_;
+    return true;
+  };
   for (const std::string& member : candidates) {
     for (;;) {
       auto client = ClientFor(member);
       if (!client.ok()) {
         last = annotate(member, client.status());
-        break;  // next candidate
+        break;  // failed dial: next member
       }
       auto response = client.value()->Plan(request);
       if (!response.ok()) {
-        // Transport failure: drop the connection and try the next candidate.
         client.value()->Close();
         last = annotate(member, response.status());
-        break;
-      }
-      if (response.value().status.code() == StatusCode::kResourceExhausted &&
-          shed_retries < retry_.max_shed_retries) {
-        // Load-shed by this member's admission control: shedding is
-        // transient and the owner is still the right home for the plan, so
-        // retry the same member after max(backoff, the server's hint) —
-        // failing over would just stampede the next member.
-        double delay = retry_.backoff.DelayFor(shed_retries, &rng);
-        delay = std::max(delay, response.value().retry_after_ms / 1000.0);
-        // Never retry past the request deadline (as PlanWithRetry): surface
-        // the shed response while the caller can still act on it.
-        if (Clock::now() + std::chrono::duration<double>(delay) >= deadline) {
-          return response;
+        // A peer close means the member restarted or drained since this
+        // connection was pooled: re-dial it rather than hand its plan to a
+        // member that does not own it.
+        if (response.status().code() == StatusCode::kNotFound &&
+            back_off(0.0)) {
+          continue;
         }
-        ++shed_retries;
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+        break;  // any other transport error: next member
+      }
+      // A load-shed reply is transient and the member is still the right
+      // home for the plan, so retry it; failing over would just stampede
+      // the next member.
+      if (response.value().status.code() == StatusCode::kResourceExhausted &&
+          back_off(response.value().retry_after_ms / 1000.0)) {
         continue;
       }
       return response;

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/rng.h"
 #include "common/json.h"
 #include "common/status.h"
@@ -48,13 +47,8 @@ struct ClusterOptions {
   /// Every daemon in the tier, including self. Order is irrelevant (the
   /// ring sorts by hash) but spelling must match across the deployment.
   std::vector<std::string> members;
-  int vnodes_per_node = 64;
   /// The warm store (borrowed; may be nullptr for a diskless member).
   DiskStore* disk = nullptr;
-  /// Peer-fetch retry budget and backoff curve (common/backoff.h).
-  int peer_retries = 2;
-  common::BackoffPolicy backoff = common::kPeerFetchBackoff;
-  uint64_t backoff_seed = 0;
   /// Optional observer (borrowed) for kClusterPeerFill / kClusterDiskHit.
   trace::TraceBus* bus = nullptr;
   /// Test hook: a peer fetch holds its single-flight slot for this long
@@ -139,7 +133,9 @@ class ClusterNode : public serve::PlanFillSource {
     std::condition_variable cv;
   };
 
-  /// One cache_get round trip to `owner` with reconnect + backoff retries.
+  /// One cache_get round trip to `owner` with up to kPeerFetchRetries
+  /// re-dials on kPeerFetchBackoff (common/backoff.h). Its own short loop,
+  /// not TierClient's: a peer fetch is never shed and never fails over.
   /// Returns the plan (verified against `canonical`) or null.
   std::shared_ptr<const serve::CachedPlan> FetchFromOwner(
       const std::string& owner, uint64_t fingerprint,
@@ -173,40 +169,46 @@ class ClusterNode : public serve::PlanFillSource {
   const std::chrono::steady_clock::time_point epoch_;
 };
 
+/// TierClient's retry budget for one Plan() call. Declared outside the
+/// class so `TierClient(members)` can default it.
+struct TierRetryOptions {
+  /// Retries one call may spend, shared by load-shed replies and re-dials
+  /// after a peer close; the delays follow common::kPlanRetryBackoff.
+  int max_retries = 3;
+  uint64_t seed = 0;  // jitter seed (fix it for deterministic tests)
+};
+
 /// Client-side owner routing over the same member list: picks each
 /// request's daemon from the fingerprint's ring placement, walking the
 /// rendezvous ranking past dead daemons. One pooled ServeClient per
-/// endpoint. Not thread-safe (one TierClient per load-generator thread,
-/// like ServeClient).
+/// endpoint. It is the one retry loop for plan requests: a caller of a
+/// single daemon uses a one-member tier. Not thread-safe (one TierClient
+/// per load-generator thread, like ServeClient).
 class TierClient {
  public:
-  /// Shed-retry policy: how many load-shed (in-band ResourceExhausted)
-  /// responses Plan() absorbs before surfacing one, and the backoff curve
-  /// under the server's retry-after floor — the same shape
-  /// ServeClient::PlanWithRetry uses, shared via common/backoff.h.
-  struct RetryOptions {
-    int max_shed_retries = 3;
-    common::BackoffPolicy backoff = common::kPlanRetryBackoff;
-    uint64_t seed = 0;  // jitter seed (fix it for deterministic tests)
-  };
+  explicit TierClient(std::vector<std::string> members,
+                      TierRetryOptions retry = {});
 
-  TierClient(std::vector<std::string> members, int vnodes_per_node = 64);
-  TierClient(std::vector<std::string> members, int vnodes_per_node,
-             RetryOptions retry);
-
-  /// Owner-routed plan: sends to the fingerprint's owner, failing over down
-  /// the rendezvous ranking on transport errors (each candidate dialed at
-  /// most once per call). A load-shed response is retried against the same
-  /// member after max(backoff, the server's retry-after hint) until the shed
-  /// budget runs out or the next backoff would cross the request's
-  /// deadline_ms; other in-band planning failures are returned as-is —
-  /// only a dead daemon triggers failover. Dead-member errors are annotated
-  /// with the member endpoint, so a multi-daemon deployment's failures name
-  /// which daemon was unreachable.
+  /// Owner-routed plan. Walks the members owner first, then the rest of the
+  /// rendezvous ranking, with one retry budget for the whole call:
+  ///  - a load-shed response (in-band ResourceExhausted) is retried on the
+  ///    same member after max(backoff, the server's retry-after hint);
+  ///  - a peer close (kNotFound: the daemon restarted or drained, leaving
+  ///    the pooled connection stale) re-dials the same member after a
+  ///    backoff, because it is still the right home for the plan;
+  ///  - a failed dial, any other transport error, or a peer close with no
+  ///    retry left fails over to the next member.
+  /// No sleep crosses the request's deadline_ms: the last shed response
+  /// surfaces instead. Other in-band planning failures return as-is.
+  /// Transport errors name the member endpoint that failed.
   Result<serve::PlanResponse> Plan(const serve::PlanRequest& request);
 
   /// The member Plan() would try first for this request.
   std::string OwnerOf(const serve::PlanRequest& request) const;
+
+  /// Retries Plan() performed over this client's lifetime (shed backoffs
+  /// and re-dials).
+  int64_t retries() const { return retries_; }
 
   /// Stats envelope from one named member.
   Result<json::Value> StatsFrom(const std::string& member);
@@ -219,7 +221,8 @@ class TierClient {
 
   std::vector<std::string> members_;
   HashRing ring_;
-  RetryOptions retry_;
+  TierRetryOptions retry_;
+  int64_t retries_ = 0;
   std::unordered_map<std::string, std::unique_ptr<serve::ServeClient>> clients_;
 };
 

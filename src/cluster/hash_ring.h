@@ -38,7 +38,6 @@ class HashRing {
 
   bool empty() const { return nodes_.empty(); }
   size_t num_nodes() const { return nodes_.size(); }
-  int vnodes_per_node() const { return vnodes_; }
 
   /// The member owning `fingerprint`; "" when the ring is empty.
   std::string OwnerOf(uint64_t fingerprint) const;

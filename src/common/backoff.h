@@ -9,8 +9,8 @@
 namespace harmony::common {
 
 /// Jittered exponential backoff, shared by every retry site in the repo: the
-/// fault layer's transfer/alloc retries (simulated time) and the serve
-/// client's ResourceExhausted retries (wall-clock time). The delay for
+/// fault layer's transfer/alloc retries (simulated time) and the cluster
+/// tier's plan and peer-fetch retries (wall-clock time). The delay for
 /// attempt k is `initial * multiplier^k`, capped at `max_delay`, then
 /// scattered by full jitter: uniform in [(1-jitter)*d, d]. Jitter draws come
 /// from an explicitly seeded Rng so simulated retries replay bit-identically
@@ -34,11 +34,11 @@ struct BackoffPolicy {
 };
 
 /// Shared retry policies. Retry sites across layers used to duplicate these
-/// constants inline; naming them here keeps the serve client, the cluster
-/// tier, and any future retrier honest about using the same shape.
+/// constants inline; naming them here keeps the tier client, the peer fetch,
+/// and any future retrier honest about using the same shape.
 ///
-/// Wall-clock plan retries (serve client, tier client): start at 50ms — a
-/// shed server's retry-after hints are in this range — and cap at 2s so a
+/// Wall-clock plan retries (cluster::TierClient): start at 50ms — a shed
+/// server's retry-after hints are in this range — and cap at 2s so a
 /// bounded retry budget stays interactive.
 inline constexpr BackoffPolicy kPlanRetryBackoff{/*initial=*/0.05,
                                                  /*max_delay=*/2.0,
@@ -52,6 +52,8 @@ inline constexpr BackoffPolicy kPeerFetchBackoff{/*initial=*/0.02,
                                                  /*max_delay=*/0.5,
                                                  /*multiplier=*/2.0,
                                                  /*jitter=*/0.5};
+/// Retries a peer fetch makes after its first attempt fails.
+inline constexpr int kPeerFetchRetries = 2;
 
 }  // namespace harmony::common
 

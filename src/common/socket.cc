@@ -198,6 +198,9 @@ Status ReadAll(int fd, char* data, size_t len, bool* clean_eof) {
     const ssize_t n = ::read(fd, data + got, len - got);
     if (n < 0) {
       if (errno == EINTR) continue;
+      // A peer that closes with our bytes still unread resets the
+      // connection: to retry loops that is the same event as a clean close.
+      if (errno == ECONNRESET) return Status::NotFound("peer closed connection");
       return Errno("read");
     }
     if (n == 0) {

@@ -61,8 +61,9 @@ Status SendFrame(int fd, std::string_view payload);
 
 /// Reads one frame. Returns NotFound on clean EOF before any byte of the
 /// length prefix (the peer hung up between frames — the daemon's normal
-/// end-of-connection), InvalidArgument for oversized frames, Internal for
-/// I/O errors or mid-frame EOF.
+/// end-of-connection) or on a reset (the peer closed with our bytes unread),
+/// InvalidArgument for oversized frames, Internal for other I/O errors or
+/// mid-frame EOF.
 Result<std::string> RecvFrame(int fd, size_t max_payload = 64ull << 20);
 
 /// close(2) wrapper, ignoring EINTR/EBADF noise.

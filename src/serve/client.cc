@@ -1,11 +1,40 @@
 #include "serve/client.h"
 
-#include <chrono>
-#include <thread>
-
-#include "common/rng.h"
-
 namespace harmony::serve {
+
+namespace {
+
+/// The one reply decoder behind every exchange, blocking or pipelined:
+/// parses the frame and checks its envelope type. "error" replies surface
+/// as Internal.
+Result<json::Value> DecodeReply(std::string_view frame,
+                                const std::string& expect_type) {
+  auto reply = json::Parse(frame);
+  HARMONY_RETURN_IF_ERROR(reply.status());
+  std::string type;
+  HARMONY_RETURN_IF_ERROR(json::ReadString(reply.value(), "type", &type));
+  if (type == "error") {
+    std::string error = "(no detail)";
+    (void)json::ReadString(reply.value(), "error", &error);
+    return Status::Internal("server error: " + error);
+  }
+  if (type != expect_type) {
+    return Status::Internal("unexpected reply type \"" + type +
+                            "\" (wanted \"" + expect_type + "\")");
+  }
+  return reply;
+}
+
+Result<PlanResponse> PlanFromReply(const Result<json::Value>& reply) {
+  HARMONY_RETURN_IF_ERROR(reply.status());
+  const json::Value* response = reply.value().Find("response");
+  if (response == nullptr) {
+    return Status::Internal("plan reply missing \"response\"");
+  }
+  return PlanResponseFromJson(*response);
+}
+
+}  // namespace
 
 Status ServeClient::ConnectUnix(const std::string& path) {
   Close();
@@ -46,18 +75,6 @@ Status ServeClient::AnnotateTransport(Status s) const {
                 s.message() + " [endpoint " + endpoint_description() + "]");
 }
 
-Status ServeClient::Reconnect() {
-  switch (endpoint_) {
-    case Endpoint::kUnix:
-      return ConnectUnix(std::string(unix_path_));
-    case Endpoint::kTcp:
-      return ConnectTcp(std::string(tcp_host_), tcp_port_);
-    case Endpoint::kNone:
-      break;
-  }
-  return Status::FailedPrecondition("client was never connected");
-}
-
 void ServeClient::Close() {
   if (fd_ >= 0) {
     net::CloseFd(fd_);
@@ -82,83 +99,11 @@ Result<json::Value> ServeClient::RoundTripEncoded(
   HARMONY_RETURN_IF_ERROR(AnnotateTransport(net::SendFrame(fd_, envelope_bytes)));
   auto frame = net::RecvFrame(fd_);
   HARMONY_RETURN_IF_ERROR(AnnotateTransport(frame.status()));
-  auto reply = json::Parse(frame.value());
-  HARMONY_RETURN_IF_ERROR(reply.status());
-  std::string type;
-  HARMONY_RETURN_IF_ERROR(json::ReadString(reply.value(), "type", &type));
-  if (type == "error") {
-    std::string error = "(no detail)";
-    (void)json::ReadString(reply.value(), "error", &error);
-    return Status::Internal("server error: " + error);
-  }
-  if (type != expect_type) {
-    return Status::Internal("unexpected reply type \"" + type +
-                            "\" (wanted \"" + expect_type + "\")");
-  }
-  return std::move(reply).value();
+  return DecodeReply(frame.value(), expect_type);
 }
 
 Result<PlanResponse> ServeClient::Plan(const PlanRequest& request) {
-  json::Value envelope = json::Value::Object();
-  envelope.Set("type", "plan");
-  envelope.Set("request", PlanRequestToJson(request));
-  auto reply = RoundTrip(envelope, "plan");
-  HARMONY_RETURN_IF_ERROR(reply.status());
-  const json::Value* response = reply.value().Find("response");
-  if (response == nullptr) {
-    return Status::Internal("plan reply missing \"response\"");
-  }
-  return PlanResponseFromJson(*response);
-}
-
-Result<PlanResponse> ServeClient::PlanWithRetry(const PlanRequest& request,
-                                                const RetryOptions& retry) {
-  using Clock = std::chrono::steady_clock;
-  Rng rng(retry.seed);
-  const auto deadline =
-      request.deadline_ms > 0
-          ? Clock::now() + std::chrono::milliseconds(request.deadline_ms)
-          : Clock::time_point::max();
-  for (int attempt = 0;; ++attempt) {
-    auto result = Plan(request);
-
-    // Decide whether this outcome is retryable, and with what delay floor.
-    // Give-up paths return `result` as-is, preserving its shape: a shed
-    // response stays an in-band ResourceExhausted, a closed peer stays a
-    // transport Status.
-    bool reconnect = false;
-    double floor_seconds = 0.0;
-    if (!result.ok()) {
-      if (result.status().code() != StatusCode::kNotFound) {
-        return result;  // a real transport/protocol error, not a clean close
-      }
-      // Peer closed the connection (restart, drain, LIFO shed): re-dial the
-      // saved endpoint before the next attempt.
-      reconnect = true;
-    } else if (result.value().status.code() ==
-               StatusCode::kResourceExhausted) {
-      // Load-shed by admission control: the server's hint is a delay floor
-      // under the shared backoff curve.
-      floor_seconds = result.value().retry_after_ms / 1000.0;
-    } else {
-      return result;  // success, or a non-retryable planning failure
-    }
-
-    if (attempt >= retry.max_retries) return result;
-    double delay = retry.backoff.DelayFor(attempt, &rng);
-    delay = std::max(delay, floor_seconds);
-    // Never retry past the request deadline: surface the last failure while
-    // the caller still has time to act on it.
-    if (Clock::now() + std::chrono::duration<double>(delay) >= deadline) {
-      return result;
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(delay));
-    ++retries_;
-    if (reconnect) {
-      Status rc = Reconnect();
-      if (!rc.ok()) return rc;
-    }
-  }
+  return PlanFromReply(RoundTripEncoded(EncodePlanEnvelope(request), "plan"));
 }
 
 std::string ServeClient::EncodePlanEnvelope(const PlanRequest& request) {
@@ -193,24 +138,7 @@ Result<std::string> ServeClient::CollectRaw() {
 Result<PlanResponse> ServeClient::Collect() {
   auto raw = CollectRaw();
   HARMONY_RETURN_IF_ERROR(raw.status());
-  auto reply = json::Parse(raw.value());
-  HARMONY_RETURN_IF_ERROR(reply.status());
-  std::string type;
-  HARMONY_RETURN_IF_ERROR(json::ReadString(reply.value(), "type", &type));
-  if (type == "error") {
-    std::string error = "(no detail)";
-    (void)json::ReadString(reply.value(), "error", &error);
-    return Status::Internal("server error: " + error);
-  }
-  if (type != "plan") {
-    return Status::Internal("unexpected reply type \"" + type +
-                            "\" (wanted \"plan\")");
-  }
-  const json::Value* response = reply.value().Find("response");
-  if (response == nullptr) {
-    return Status::Internal("plan reply missing \"response\"");
-  }
-  return PlanResponseFromJson(*response);
+  return PlanFromReply(DecodeReply(raw.value(), "plan"));
 }
 
 Result<json::Value> ServeClient::Stats() {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/backoff.h"
 #include "common/json.h"
 #include "common/socket.h"
 #include "serve/wire.h"
@@ -40,26 +39,9 @@ class ServeClient {
 
   /// Sends a plan request and blocks for the response. Transport failures
   /// surface here; planning failures travel inside PlanResponse::status.
+  /// One attempt only: cluster::TierClient owns the retry loop (load-shed
+  /// backoff, re-dial after a peer close, failover), for one daemon too.
   Result<PlanResponse> Plan(const PlanRequest& request);
-
-  /// Self-healing Plan: retries load-shed responses (ResourceExhausted,
-  /// honoring the server's retry-after hint as a delay floor) and
-  /// peer-closed frames (reconnecting to the saved endpoint first) with the
-  /// shared jittered-backoff policy. Never retries past the request's
-  /// deadline_ms or the retry budget — the last failure surfaces then.
-  struct RetryOptions {
-    int max_retries = 5;
-    common::BackoffPolicy backoff = common::kPlanRetryBackoff;
-    uint64_t seed = 0;  // jitter seed (fix it for deterministic tests)
-  };
-  Result<PlanResponse> PlanWithRetry(const PlanRequest& request,
-                                     const RetryOptions& retry);
-  Result<PlanResponse> PlanWithRetry(const PlanRequest& request) {
-    return PlanWithRetry(request, RetryOptions());
-  }
-
-  /// Retries PlanWithRetry performed on this client (reconnects + backoffs).
-  int64_t retries() const { return retries_; }
 
   // --- pipelined API ------------------------------------------------------
 
@@ -114,15 +96,13 @@ class ServeClient {
 
  private:
   /// Appends the endpoint description to a failed Status's message while
-  /// preserving its code — PlanWithRetry and callers branch on codes
-  /// (kNotFound = peer closed, kResourceExhausted = shed), so annotation
-  /// must never rewrite them.
+  /// preserving its code — retry loops branch on codes (kNotFound = peer
+  /// closed, kResourceExhausted = shed), so annotation must never rewrite
+  /// them.
   Status AnnotateTransport(Status s) const;
   /// One request/response round trip; checks the reply's envelope type.
   Result<json::Value> RoundTrip(const json::Value& envelope,
                                 const std::string& expect_type);
-  /// Re-dials the endpoint the last Connect* call saved.
-  Status Reconnect();
 
   enum class Endpoint { kNone, kUnix, kTcp };
 
@@ -131,7 +111,6 @@ class ServeClient {
   std::string unix_path_;
   std::string tcp_host_;
   int tcp_port_ = 0;
-  int64_t retries_ = 0;
   int in_flight_ = 0;
 };
 

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -28,6 +30,8 @@
 #include "hw/machine.h"
 #include "model/models.h"
 #include "runtime/runtime.h"
+#include "serve/plan_service.h"
+#include "serve/server.h"
 #include "serve/wire.h"
 #include "trace/trace.h"
 
@@ -528,6 +532,64 @@ TEST(AdaptEndToEnd, HealthWindowConvertsToWholeIterations) {
   ASSERT_EQ(run.value().decisions.size(), 1u);
   EXPECT_EQ(run.value().decisions[0].iteration, 0);
   EXPECT_EQ(run.value().switch_iteration, 1);
+}
+
+TEST(AdaptEndToEnd, TierPlannerReplansThroughADaemonAndFallsBackWhenItStops) {
+  const hw::MachineSpec machine = hw::MachineSpec::Commodity4Gpu();
+  const auto spec = serve::ModelSpec::FromName("BERT96");
+  ASSERT_TRUE(spec.ok());
+  const fault::FaultPlan fp = PersistentLinkFail(machine);
+
+  // An in-process daemon behind a one-member tier.
+  const std::string path =
+      "/tmp/harmony_adapt_tier_" + std::to_string(::getpid()) + ".sock";
+  serve::PlanService service{serve::ServeOptions{}};
+  serve::ServerOptions server_options;
+  server_options.unix_path = path;
+  serve::PlanServer server(&service, server_options);
+  ASSERT_TRUE(server.Listen().ok());
+  server.Start();
+  cluster::TierClient tier({"unix:" + path});
+  TierPlanner planner(&tier);
+
+  AdaptOptions ao;
+  ao.iterations = 3;
+  ao.replan_margin = -1.0;
+  ao.fault_plan = fp;
+  ao.planner = &planner;
+  auto run_once = [&]() {
+    AdaptiveRunner runner(machine, spec.value(),
+                          HarmonyMode::kPipelineParallel, 8, {}, {}, ao);
+    return runner.Run();
+  };
+
+  const auto served = run_once();
+  ASSERT_TRUE(served.ok()) << served.status();
+  ASSERT_EQ(served.value().decisions.size(), 1u);
+  EXPECT_TRUE(served.value().decisions[0].applied);
+  EXPECT_STREQ(served.value().decisions[0].planner, "tier");
+  EXPECT_EQ(service.stats().searches, 1u);
+
+  // The daemon's plan is Algorithm 1's on the degraded machine, bit for bit.
+  const model::SequentialModel model = ModelFor(spec.value());
+  const auto fresh =
+      core::Scheduler(machine.WithLinkScale(fp.link_fail_link,
+                                            fp.link_fail_factor))
+          .Schedule(model, HarmonyMode::kPipelineParallel, 8, {}, {});
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(serve::ConfigurationToJson(served.value().config).Dump(),
+            serve::ConfigurationToJson(fresh.value().search.best).Dump());
+
+  // With the daemon gone the same run re-plans locally, to the same plan.
+  server.Stop();
+  ::unlink(path.c_str());
+  const auto local = run_once();
+  ASSERT_TRUE(local.ok()) << local.status();
+  ASSERT_EQ(local.value().decisions.size(), 1u);
+  EXPECT_TRUE(local.value().decisions[0].applied);
+  EXPECT_STREQ(local.value().decisions[0].planner, "local-search");
+  EXPECT_EQ(serve::ConfigurationToJson(local.value().config).Dump(),
+            serve::ConfigurationToJson(served.value().config).Dump());
 }
 
 /// A remote planner answering for some other model: its configuration is

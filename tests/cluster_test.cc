@@ -3,8 +3,9 @@
 // cleanup, CRC mismatch degrading to a miss, atomic replace), restart-warm
 // round trips that must be bit-identical to the original search, peer-fill
 // through a real daemon's cache_get handler with single-flight coalescing,
-// and TierClient owner routing with failover. Server-level sections boot
-// real PlanServers over Unix sockets, the same wiring harmony_serve uses.
+// and TierClient owner routing with its one retry loop (shed backoff,
+// re-dial after a restart, failover). Server-level sections boot real
+// PlanServers over Unix sockets, the same wiring harmony_serve uses.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include "cluster/cluster.h"
 #include "cluster/disk_store.h"
 #include "cluster/hash_ring.h"
-#include "common/backoff.h"
 #include "common/json.h"
 #include "serve/client.h"
 #include "serve/plan_service.h"
@@ -41,6 +41,7 @@ using cluster::DiskStore;
 using cluster::DiskStoreOptions;
 using cluster::HashRing;
 using cluster::TierClient;
+using cluster::TierRetryOptions;
 using serve::ModelSpec;
 using serve::PlanRequest;
 using serve::PlanResponse;
@@ -650,13 +651,11 @@ TEST(Cluster, TierClientStopsShedRetriesAtTheRequestDeadline) {
   server.Start();
   auto inflight = service.Submit(TinyRequest(4));
 
-  // The shed budget alone would outlast the stall (50 retries of >= 20ms),
+  // The retry budget alone would outlast the stall (50 retries of >= 20ms),
   // so only the deadline can end the call early.
-  TierClient::RetryOptions retry;
-  retry.max_shed_retries = 50;
-  retry.backoff = common::BackoffPolicy{/*initial=*/0.01, /*max_delay=*/0.02,
-                                        /*multiplier=*/1.0, /*jitter=*/0.0};
-  TierClient tier({"unix:" + path}, 64, retry);
+  TierRetryOptions retry;
+  retry.max_retries = 50;
+  TierClient tier({"unix:" + path}, retry);
   PlanRequest bounded = TinyRequest(8);
   bounded.deadline_ms = 100;
   const auto start = std::chrono::steady_clock::now();
@@ -673,6 +672,83 @@ TEST(Cluster, TierClientStopsShedRetriesAtTheRequestDeadline) {
   inflight.wait();
   server.Stop();
   ::unlink(path.c_str());
+}
+
+TEST(Cluster, TierClientRidesOutLoadShedOnOneMember) {
+  // One daemon is a one-member tier: a shed reply is backed off (honoring
+  // the server's retry-after floor) and retried until the worker frees up.
+  const std::string path = SockPath("tc_rideout");
+  ServeOptions sopts;
+  sopts.num_workers = 1;
+  sopts.max_pending = 1;
+  sopts.retry_after_ms = 20;
+  sopts.stall_for_test = 0.3;  // holds the admission budget
+  PlanService service(sopts);
+  ServerOptions options;
+  options.unix_path = path;
+  PlanServer server(&service, options);
+  ASSERT_TRUE(server.Listen().ok());
+  server.Start();
+  auto inflight = service.Submit(TinyRequest(4));
+
+  TierRetryOptions retry;
+  retry.max_retries = 20;
+  retry.seed = 0x72657472;  // fixed: deterministic backoff schedule
+  TierClient tier({"unix:" + path}, retry);
+  const auto response = tier.Plan(TinyRequest(8));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response.value().status.ok()) << response.value().status;
+  EXPECT_GE(tier.retries(), 1);
+
+  EXPECT_TRUE(inflight.get().status.ok());
+  server.Stop();
+  ::unlink(path.c_str());
+}
+
+TEST(Cluster, TierClientRedialsARestartedDaemonOnOneMember) {
+  // The pooled connection outlives the daemon it was dialed to; the next
+  // plan hits the closed peer, re-dials the same endpoint and lands on the
+  // daemon that replaced it.
+  const std::string ep = "unix:" + SockPath("tc_redial");
+  auto daemon = std::make_unique<TierDaemon>("tc_redial",
+                                             std::vector<std::string>{ep}, ep);
+  TierClient tier({ep});
+  ASSERT_TRUE(tier.Plan(TinyRequest()).ok());
+  daemon.reset();
+  daemon = std::make_unique<TierDaemon>("tc_redial",
+                                        std::vector<std::string>{ep}, ep);
+
+  const auto response = tier.Plan(TinyRequest());
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_TRUE(response.value().status.ok()) << response.value().status;
+  EXPECT_EQ(tier.retries(), 1);
+  EXPECT_EQ(daemon->service->stats().admitted, 1u);
+}
+
+TEST(Cluster, TierClientRedialsARestartedOwnerInsteadOfFailingOver) {
+  // A stale pooled connection to the owner is not a dead owner: the request
+  // must reach the restarted owner, never the member that does not own it.
+  const std::string a_ep = "unix:" + SockPath("so_a");
+  const std::string b_ep = "unix:" + SockPath("so_b");
+  const std::vector<std::string> members = {a_ep, b_ep};
+  auto a = std::make_unique<TierDaemon>("so_a", members, a_ep);
+  TierDaemon b("so_b", members, b_ep);
+
+  TierClient tier(members);
+  const PlanRequest request = RequestOwnedBy(a_ep, members);
+  const auto first = tier.Plan(request);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(first.value().status.ok()) << first.value().status;
+  EXPECT_EQ(a->service->stats().admitted, 1u);
+
+  a.reset();  // the owner restarts on the same socket
+  a = std::make_unique<TierDaemon>("so_a", members, a_ep);
+  const auto second = tier.Plan(request);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_TRUE(second.value().status.ok()) << second.value().status;
+  EXPECT_EQ(a->service->stats().admitted, 1u);
+  EXPECT_EQ(b.service->stats().admitted, 0u);
+  EXPECT_EQ(tier.retries(), 1);
 }
 
 // --- stats plumbing -------------------------------------------------------

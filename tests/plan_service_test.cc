@@ -325,105 +325,5 @@ TEST(ServeE2e, PlanPingStatsShutdownOverUnixSocket) {
   ::unlink(socket_path.c_str());
 }
 
-// ---------------------------------------------------------------------------
-// Client-side self-healing (PlanWithRetry)
-// ---------------------------------------------------------------------------
-
-TEST(ServeE2e, RetryRidesOutLoadShedButNeverPastTheDeadline) {
-  const std::string socket_path =
-      "/tmp/harmony_retry_test_" + std::to_string(::getpid()) + ".sock";
-  ServeOptions service_options;
-  service_options.num_workers = 1;
-  service_options.max_pending = 1;
-  service_options.retry_after_ms = 20;
-  service_options.stall_for_test = 0.3;  // holds the admission budget
-  PlanService service(service_options);
-  serve::ServerOptions server_options;
-  server_options.unix_path = socket_path;
-  serve::PlanServer server(&service, server_options);
-  ASSERT_TRUE(server.Listen().ok());
-  server.Start();
-
-  // Occupy the whole admission budget in-process, so socket clients are
-  // load-shed until the stalled search drains.
-  auto inflight = service.Submit(TinyRequest(4));
-
-  // A deadline-bound client must surface the rejection once no retry fits
-  // before its deadline — never sleep past it, never hang.
-  {
-    serve::ServeClient client;
-    ASSERT_TRUE(client.ConnectUnix(socket_path).ok());
-    serve::ServeClient::RetryOptions retry;
-    retry.max_retries = 20;
-    retry.seed = 7;
-    PlanRequest bounded = TinyRequest(8);
-    bounded.deadline_ms = 40;
-    const auto start = std::chrono::steady_clock::now();
-    const auto shed = client.PlanWithRetry(bounded, retry);
-    const double waited =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    ASSERT_TRUE(shed.ok()) << shed.status();
-    EXPECT_EQ(shed.value().status.code(), StatusCode::kResourceExhausted)
-        << shed.value().status;
-    EXPECT_LT(waited, 0.25);  // gave up before the budget drained, by deadline
-  }
-
-  // An unbounded client rides the shed out: backs off (honoring the server's
-  // retry-after floor) and lands once the worker frees up.
-  serve::ServeClient client;
-  ASSERT_TRUE(client.ConnectUnix(socket_path).ok());
-  serve::ServeClient::RetryOptions retry;
-  retry.max_retries = 20;
-  retry.seed = 0x72657472;  // fixed: deterministic backoff schedule
-  const auto response = client.PlanWithRetry(TinyRequest(8), retry);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_TRUE(response.value().status.ok()) << response.value().status;
-  EXPECT_GE(client.retries(), 1);
-
-  EXPECT_TRUE(inflight.get().status.ok());
-  EXPECT_TRUE(client.Shutdown().ok());
-  server.Wait();
-  ::unlink(socket_path.c_str());
-}
-
-TEST(ServeE2e, RetryReconnectsAfterPeerClose) {
-  const std::string socket_path =
-      "/tmp/harmony_reconnect_test_" + std::to_string(::getpid()) + ".sock";
-  // A fake daemon accepts one connection and slams it shut — what a
-  // restarting (or LIFO-shedding) server looks like from the client side.
-  auto listener = net::ListenUnix(socket_path);
-  ASSERT_TRUE(listener.ok()) << listener.status();
-  serve::ServeClient client;
-  ASSERT_TRUE(client.ConnectUnix(socket_path).ok());
-  auto conn = net::Accept(listener.value());
-  ASSERT_TRUE(conn.ok()) << conn.status();
-  net::CloseFd(conn.value());
-  net::CloseFd(listener.value());
-  ::unlink(socket_path.c_str());
-
-  // The real daemon takes over the same endpoint.
-  PlanService service{ServeOptions{}};
-  serve::ServerOptions server_options;
-  server_options.unix_path = socket_path;
-  serve::PlanServer server(&service, server_options);
-  ASSERT_TRUE(server.Listen().ok());
-  server.Start();
-
-  // The client's first attempt hits the closed peer; with retries armed it
-  // re-dials the saved endpoint and completes against the new daemon.
-  serve::ServeClient::RetryOptions retry;
-  retry.max_retries = 3;
-  retry.seed = 1;
-  const auto response = client.PlanWithRetry(TinyRequest(), retry);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_TRUE(response.value().status.ok()) << response.value().status;
-  EXPECT_GE(client.retries(), 1);
-
-  EXPECT_TRUE(client.Shutdown().ok());
-  server.Wait();
-  ::unlink(socket_path.c_str());
-}
-
 }  // namespace
 }  // namespace harmony

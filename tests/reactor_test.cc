@@ -172,6 +172,19 @@ TEST(FrameWriter, QueuedFramesRoundTripThroughASocketPair) {
   net::CloseFd(fds[1]);
 }
 
+TEST(FrameTransport, ResetWithTheRequestUnreadIsAPeerClose) {
+  // A daemon that exits with the client's request still unread resets the
+  // connection. The client must see the same kNotFound as a clean close, so
+  // TierClient re-dials the member instead of failing over.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(net::SendFrame(fds[0], "{\"type\":\"ping\"}").ok());
+  net::CloseFd(fds[1]);  // the request is never read
+  auto reply = net::RecvFrame(fds[0]);
+  EXPECT_EQ(reply.status().code(), StatusCode::kNotFound) << reply.status();
+  net::CloseFd(fds[0]);
+}
+
 // --- server-level: a real PlanServer over a Unix socket -------------------
 
 struct TestServer {

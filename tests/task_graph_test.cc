@@ -505,6 +505,17 @@ struct GenParam {
   bool dp, grouping, jit_update, jit_compute, recompute;
 };
 
+// Print the case by its fields: the default byte dump includes the struct's
+// uninitialised padding, so the test names would differ from one build to
+// the next.
+void PrintTo(const GenParam& p, std::ostream* os) {
+  *os << "uf" << p.u_fwd << " ub" << p.u_bwd << " mb" << p.minibatch
+      << (p.dp ? " dp" : " pp") << (p.grouping ? " grouping" : "")
+      << (p.jit_update ? " jit_update" : "")
+      << (p.jit_compute ? " jit_compute" : "")
+      << (p.recompute ? " recompute" : "");
+}
+
 class GenerateProperty : public ::testing::TestWithParam<GenParam> {};
 
 TEST_P(GenerateProperty, ValidGraph) {

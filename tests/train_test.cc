@@ -90,6 +90,14 @@ struct MatchParam {
   core::PackList packs;
 };
 
+// Print the case by its fields: the default byte dump contains the pack
+// vector's heap pointers, which change from build to build and so would make
+// the test names differ from one listing to the next.
+void PrintTo(const MatchParam& p, std::ostream* os) {
+  *os << "uf" << p.u_fwd << " ub" << p.u_bwd << " mb" << p.minibatch << " "
+      << core::PackListToString(p.packs);
+}
+
 class BitExactSweep : public ::testing::TestWithParam<MatchParam> {};
 
 TEST_P(BitExactSweep, HarmonyEqualsBaseline) {
